@@ -4,14 +4,10 @@
 // nodes share one versioned lock under shift=5 and the reader of y falsely
 // aborts against the writer of x; with Glibc's 32-byte blocks they map to
 // distinct locks and no aborts occur.
-#include <memory>
-
-#include "alloc/instrument.hpp"
 #include "bench_common.hpp"
-#include "core/stm.hpp"
+#include "core/run_spec.hpp"
 #include "harness/obs_session.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -26,16 +22,10 @@ struct CaseResult {
 CaseResult run_case(const std::string& alloc_name, unsigned shift,
                     int rounds) {
   using namespace tmx;
-  std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator(alloc_name);
-  // With a tracer listening, route allocations through the instrumenting
-  // wrapper so --record-trace captures see the kAlloc/kFree events.
-  if (obs::trace_enabled()) {
-    allocator =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(allocator));
-  }
+  const stm::AllocatorStack stack = stm::build_stack(alloc_name);
+  alloc::Allocator* const allocator = stack.top.get();
   stm::Config cfg;
-  cfg.allocator = allocator.get();
+  cfg.allocator = allocator;
   cfg.shift = shift;
   stm::Stm stm(cfg);
 

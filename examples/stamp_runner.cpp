@@ -104,9 +104,7 @@ int main(int argc, char** argv) {
   run.shift = static_cast<unsigned>(opt.get_long("shift", 5));
   run.tx_alloc_cache = opt.get_long("txcache", 0) != 0;
   run.cm = opt.cm();
-  const std::string design = opt.get("design", "wb");
-  if (design == "wt") run.design = stm::StmDesign::kWriteThroughEtl;
-  if (design == "ctl") run.design = stm::StmDesign::kCommitTimeLocking;
+  run.design = opt.design();
   run.htm_enabled = opt.get_long("hybrid", 0) != 0;
   // Under injected faults, escalation is the liveness guarantee (an OOM
   // storm would otherwise retry forever), so it defaults on.
@@ -116,9 +114,9 @@ int main(int argc, char** argv) {
   run.topology = opt.topology();
   run.numa = opt.numa_options();
   run.ort_shards = opt.ort_shards();
-  // Recording rides on the same instrumenting wrapper profiling uses: it
-  // is the only layer that emits kAlloc/kFree events.
-  run.instrument = opt.has("profile") || obs.recording();
+  // Any listening tracer (--trace, --attribution, --record-trace) adds the
+  // instrumenting layer itself; see stm::build_stack.
+  run.instrument = opt.has("profile");
   run.prof = opt.prof();
   run.prof_sample_cycles = opt.prof_sample_cycles();
   obs.set_trace_meta(run.allocator, run.shift, run.ort_log2, run.seed);
@@ -179,7 +177,7 @@ int main(int argc, char** argv) {
   std::printf("app=%s alloc=%s threads=%d shift=%u txcache=%d design=%s "
               "hybrid=%d\n",
               app.c_str(), run.allocator.c_str(), run.threads, run.shift,
-              run.tx_alloc_cache ? 1 : 0, design.c_str(),
+              run.tx_alloc_cache ? 1 : 0, opt.get("design", "wb").c_str(),
               run.htm_enabled ? 1 : 0);
   std::printf("verified:  %s (%s)\n", r.verified ? "yes" : "NO",
               r.detail.c_str());

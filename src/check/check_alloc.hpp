@@ -1,9 +1,8 @@
 // CheckedAllocator: routes every allocation and deallocation of a model
 // through the tmx::check lifetime maps, without touching the model itself.
 //
-// Wrap order in the harnesses is Instrumenting(Faulty(Checked(model))): the
-// checker sits innermost, directly on the model, so it observes the final
-// placement reality (post-fault, post-instrumentation) and owns the single
+// Its place in the allocator stack is set by stm::build_stack
+// (core/run_spec.hpp): innermost, directly on the model, owning the single
 // authoritative live-block / tombstone tables. On allocate it registers the
 // block (scrubbing tombstones and stale race shadow the recycled range may
 // carry); on deallocate it consults check::on_block_free, which detects
@@ -12,8 +11,8 @@
 // heap and a deliberately buggy test program still runs to completion.
 //
 // With no checker installed the wrapper forwards with one predictable
-// branch per call; the harness only interposes it when --check is active
-// anyway.
+// branch per call; build_stack only interposes it when a checker is
+// installed anyway.
 #pragma once
 
 #include <memory>

@@ -1,10 +1,11 @@
 // FaultyAllocator: applies the installed FaultPlan's malloc-level faults to
 // any allocator model, uniformly, without touching the models themselves.
 //
-// Wrap order in the harnesses is Instrumenting(Faulty(model)): the
-// instrumentation layer sits outside, so an injected OOM is recorded in the
-// trace exactly like a genuine one — a malloc event whose returned address
-// is 0 — and record -> replay reproduces the injected schedule for free.
+// Its place in the allocator stack is set by stm::build_stack
+// (core/run_spec.hpp): under instrumentation, so an injected OOM is
+// recorded in the trace exactly like a genuine one — a malloc event whose
+// returned address is 0 — and record -> replay reproduces the injected
+// schedule for free.
 //
 // Faults applied here:
 //  * kMalloc  — allocate() returns nullptr (rate/budget from the plan).

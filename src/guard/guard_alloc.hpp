@@ -3,15 +3,13 @@
 // checksums, free-poisoning and a quiescence-aware quarantine — see
 // guard.hpp for the rationale and the determinism contract.
 //
-// Wrap order in the harnesses is Prof(Instr(Faulty(Guarded(Checked(m))))):
-// the guard sits directly above the checker, so a quarantined free reaches
-// the checker's lifetime tables only when the quarantine actually releases
-// it (while parked, the memory is still owned — and poisoned — by the
-// guard). The guard is also the *injector* for the fault plane's corruption
-// sites (corrupt_tag / corrupt_overflow / corrupt_reuse): it is the only
-// layer that knows where the canary and the model's in-band tag live, and
-// it only injects where detection is possible, which is what makes the
-// chaos_soak contract — injected == detected, per site — provable.
+// Its place in the allocator stack (directly above the checker) is set by
+// stm::build_stack (core/run_spec.hpp). The guard is also the *injector* for
+// the fault plane's corruption sites (corrupt_tag / corrupt_overflow /
+// corrupt_reuse): it is the only layer that knows where the canary and the
+// model's in-band tag live, and it only injects where detection is
+// possible, which is what makes the chaos_soak contract — injected ==
+// detected, per site — provable.
 //
 // Sim-engine only: the block table and quarantine are unsynchronized host
 // containers, correct because fibers interleave only at explicit yield

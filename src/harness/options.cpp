@@ -160,6 +160,15 @@ stm::ContentionManager Options::cm() const {
   std::exit(2);
 }
 
+stm::StmDesign Options::design() const {
+  const std::string v = get("design", "wb");
+  if (v == "wb") return stm::StmDesign::kWriteBackEtl;
+  if (v == "wt") return stm::StmDesign::kWriteThroughEtl;
+  if (v == "ctl") return stm::StmDesign::kCommitTimeLocking;
+  std::fprintf(stderr, "unknown --design '%s' (wb|wt|ctl)\n", v.c_str());
+  std::exit(2);
+}
+
 bool Options::guard_enabled() const {
   static const char* kFlags[] = {"guard", "guard-quarantine-epochs",
                                  "guard-commits-per-epoch",

@@ -95,6 +95,9 @@ class Options {
   // --cm suicide|backoff: contention manager for every transactional run
   // (default suicide, the paper's baseline). Unknown values exit 2.
   stm::ContentionManager cm() const;
+  // --design wb|wt|ctl: STM design (default wb, write-back ETL). Unknown
+  // values exit 2.
+  stm::StmDesign design() const;
 
   // -- Profiling (tmx::prof) --
   // --prof: install the latency/heap profiling plane for the run

@@ -6,16 +6,9 @@
 #include <memory>
 #include <vector>
 
-#include "alloc/allocator.hpp"
-#include "alloc/instrument.hpp"
-#include "check/check_alloc.hpp"
-#include "fault/fault.hpp"
-#include "fault/fault_alloc.hpp"
+#include "core/run_spec.hpp"
 #include "guard/guard.hpp"
-#include "guard/guard_alloc.hpp"
-#include "obs/tracer.hpp"
 #include "prof/prof.hpp"
-#include "prof/prof_alloc.hpp"
 #include "sim/sync.hpp"
 #include "util/rng.hpp"
 
@@ -47,40 +40,16 @@ struct Mailbox {
 }  // namespace
 
 ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
-  std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator(cfg.allocator);
-  // Same wrap order as stamp::run_stamp: checker innermost (tracks what the
-  // model hands out), the guard directly above it (quarantined frees reach
-  // the checker only at release), faults above that, instrumentation above
-  // that, and the profiler outermost so its latencies are what the
-  // application experiences through every other layer.
-  if (check::enabled()) {
-    allocator = std::make_unique<check::CheckedAllocator>(std::move(allocator));
-  }
-  if (guard::enabled()) {
-    allocator = std::make_unique<guard::GuardedAllocator>(std::move(allocator));
-  }
-  if (fault::enabled()) {
-    allocator = std::make_unique<fault::FaultyAllocator>(std::move(allocator));
-  }
-  if (obs::trace_enabled()) {
-    allocator =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(allocator));
-  }
-  if (cfg.prof) {
-    allocator = std::make_unique<prof::ProfilingAllocator>(std::move(allocator));
-    prof::ProfConfig pcfg;
-    pcfg.sample_cycles = cfg.prof_sample_cycles;
-    pcfg.allocator = allocator.get();
-    prof::install(pcfg);
-  }
+  const stm::AllocatorStack stack = stm::build_stack(
+      cfg.allocator, /*instrument=*/false, cfg.prof, cfg.prof_sample_cycles);
+  alloc::Allocator* const allocator = stack.top.get();
 
   stm::Config scfg;
   scfg.ort_log2 = cfg.ort_log2;
   scfg.shift = cfg.shift;
   scfg.cm = cfg.cm;
   scfg.tx_alloc_cache = cfg.tx_alloc_cache;
-  scfg.allocator = allocator.get();
+  scfg.allocator = allocator;
   stm::Stm stm(scfg);
 
   const int workers = cfg.workers > 0 ? cfg.workers : 1;
@@ -213,7 +182,7 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   res.live_bytes_end = allocator->live_bytes();
   res.reserved_bytes_end = allocator->os_reserved();
   for (const auto& r : retained) res.retained_blocks += r.size();
-  if (phase::PhaseAllocator* pa = phase::as_phase(allocator.get())) {
+  if (phase::PhaseAllocator* pa = phase::as_phase(allocator)) {
     res.has_phase = true;
     res.phase = pa->stats();
   }

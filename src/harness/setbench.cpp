@@ -3,13 +3,6 @@
 #include <atomic>
 #include <memory>
 
-#include "alloc/instrument.hpp"
-#include "check/check_alloc.hpp"
-#include "fault/fault.hpp"
-#include "fault/fault_alloc.hpp"
-#include "guard/guard.hpp"
-#include "guard/guard_alloc.hpp"
-#include "obs/tracer.hpp"
 #include "structs/tx_hashset.hpp"
 #include "structs/tx_list.hpp"
 #include "structs/tx_rbtree.hpp"
@@ -98,54 +91,12 @@ struct TreeOps final : SetOps {
 }  // namespace
 
 SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
-  // Configure the NUMA view before anything reserves memory: the population
-  // phase and the STM's ORT shards consult the registry at construction.
-  // The default snapshot makes wrapped inner providers inherit the policy.
-  sim::numa_configure(cfg.topology, static_cast<unsigned>(cfg.threads));
-  alloc::set_default_numa(cfg.numa);
-  std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator(cfg.allocator);
-  if (alloc::PageProvider* pages = allocator->page_provider()) {
-    pages->set_numa(cfg.numa);
-  }
-  // The checker wraps the model innermost (see check_alloc.hpp): it tracks
-  // the blocks the model actually hands out.
-  if (check::enabled()) {
-    allocator = std::make_unique<check::CheckedAllocator>(std::move(allocator));
-  }
-  // The guard sits directly above the checker: quarantined frees reach the
-  // checker's lifetime tables only when the quarantine releases them, so a
-  // zombie read of parked memory is still "live" from check's point of view.
-  if (guard::enabled()) {
-    allocator = std::make_unique<guard::GuardedAllocator>(std::move(allocator));
-  }
-  // Fault injection wraps the model directly, under any instrumentation, so
-  // captures and profiles see the post-fault results.
-  if (fault::enabled()) {
-    allocator = std::make_unique<fault::FaultyAllocator>(std::move(allocator));
-  }
-  // Trace capture needs kAlloc/kFree events, which only the instrumenting
-  // wrapper emits; wrap exactly when a tracer is listening so untraced
-  // runs keep the direct call path.
-  if (obs::trace_enabled()) {
-    allocator =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(allocator));
-  }
+  cfg.configure_numa();
+  const stm::AllocatorStack stack = stm::build_stack(cfg.allocator);
+  alloc::Allocator* const allocator = stack.top.get();
+  stm::Stm stm(cfg.stm_config(allocator));
 
-  stm::Config scfg;
-  scfg.ort_log2 = cfg.ort_log2;
-  scfg.shift = cfg.shift;
-  scfg.design = cfg.design;
-  scfg.cm = cfg.cm;
-  scfg.tx_alloc_cache = cfg.tx_alloc_cache;
-  scfg.htm.enabled = cfg.htm_enabled;
-  scfg.allocator = allocator.get();
-  scfg.retry_cap = cfg.retry_cap;
-  scfg.tx_cycle_budget = cfg.tx_cycle_budget;
-  scfg.ort_shards = cfg.ort_shards;
-  stm::Stm stm(scfg);
-
-  const ds::SeqAccess seq{allocator.get()};
+  const ds::SeqAccess seq{allocator};
   std::unique_ptr<SetOps> ops;
   switch (cfg.kind) {
     case SetKind::kList: ops = std::make_unique<ListOps>(seq); break;

@@ -9,11 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "alloc/page_provider.hpp"
-#include "core/stm.hpp"
-#include "sim/engine.hpp"
+#include "core/run_spec.hpp"
 
 namespace tmx::harness {
 
@@ -21,36 +18,13 @@ enum class SetKind { kList, kHashSet, kRbTree };
 
 const char* set_kind_name(SetKind k);
 
-struct SetBenchConfig {
+// The engine, STM and NUMA knobs come from stm::RunSpec.
+struct SetBenchConfig : stm::RunSpec {
   SetKind kind = SetKind::kList;
-  std::string allocator = "glibc";
-  int threads = 1;
-  sim::EngineKind engine = sim::EngineKind::Sim;
-  bool cache_model = true;
-
-  // NUMA topology for the sim engine (nodes=1 keeps the flat machine) and
-  // the placement policy applied to the allocator's page provider.
-  sim::Topology topology{};
-  alloc::NumaOptions numa{};
-  // Per-node ORT stripe tables (0/1 = single global table; see stm::Config).
-  unsigned ort_shards = 0;
-
   double update_pct = 0.60;       // write-dominated, the paper's focus
   std::size_t initial = 4096;     // elements pre-inserted by the main thread
   std::uint64_t key_range = 8192; // keys drawn from [1, key_range]
   std::size_t ops_per_thread = 256;
-  std::uint64_t seed = 20150207;
-
-  unsigned ort_log2 = 20;
-  unsigned shift = 5;
-  stm::StmDesign design = stm::StmDesign::kWriteBackEtl;
-  stm::ContentionManager cm = stm::ContentionManager::kSuicide;
-  bool tx_alloc_cache = false;
-  bool htm_enabled = false;  // hybrid execution (hardware path + fallback)
-  // Degradation knobs (see stm::Config); 0 = off.
-  unsigned retry_cap = 0;
-  std::uint64_t tx_cycle_budget = 0;
-  std::uint64_t watchdog_cycles = 0;  // whole-run virtual-cycle budget
 };
 
 struct SetBenchResult {

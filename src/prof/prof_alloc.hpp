@@ -1,11 +1,10 @@
 // ProfilingAllocator: measures per-call latency of an allocator model in
 // virtual cycles and feeds the prof plane's histograms and site registry.
 //
-// Wrap order in the harnesses is Profiling(Instrumenting(Faulty(Checked(
-// model)))): the profiler sits outermost, so a malloc's recorded latency is
-// what the *application* experienced — model cost plus lock waits plus any
-// wrapper overheads that tick virtual time — and frees are recorded at the
-// moment application code (or the STM's deferred-free drain) called them.
+// stm::build_stack (core/run_spec.hpp) places it outermost, so a malloc's
+// recorded latency is what the *application* experienced — model cost plus
+// lock waits — and frees are recorded at the moment application code (or
+// the STM's deferred-free drain) called them.
 //
 // The wrapper itself never ticks: latency is the difference of two
 // sim::now_cycles() reads around the inner call, which advances time on its

@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/page_provider.hpp"
-#include "core/stm.hpp"
+#include "core/run_spec.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::stamp {
@@ -65,44 +64,23 @@ std::vector<std::string> app_names();
 bool app_exists(const std::string& name);
 AppResult run_app(const std::string& name, const AppContext& ctx);
 
-// Convenience: builds allocator + STM, runs the app, tears everything down.
-struct StampRun {
+// Convenience: builds the allocator stack (stm::build_stack) + STM, runs
+// the app, tears everything down. The engine, STM and NUMA knobs come from
+// stm::RunSpec.
+struct StampRun : stm::RunSpec {
   std::string app;
-  std::string allocator = "glibc";
-  int threads = 1;
-  sim::EngineKind engine = sim::EngineKind::Sim;
-  bool cache_model = true;
-  std::uint64_t seed = 20150207;
   double scale = 1.0;
-  unsigned shift = 5;
-  unsigned ort_log2 = 20;
-  stm::StmDesign design = stm::StmDesign::kWriteBackEtl;
-  bool tx_alloc_cache = false;
-  bool htm_enabled = false;  // hybrid execution
-  stm::ContentionManager cm = stm::ContentionManager::kSuicide;
-  bool instrument = false;  // wrap the allocator for Table 5 profiling
-  // Latency/heap profiling plane (tmx::prof): installs the profiler for the
-  // run, wraps the allocator in a ProfilingAllocator (outermost) and takes
-  // a final time-series sample before teardown. Zero-perturbation: the
-  // virtual-time results are bit-identical with prof on or off.
+  bool instrument = false;  // Table 5 profile (see stm::build_stack)
+  // Latency/heap profiling plane (tmx::prof), layered by stm::build_stack;
+  // a final time-series sample is taken before teardown. Zero-perturbation:
+  // the virtual-time results are bit-identical with prof on or off.
   bool prof = false;
   std::uint64_t prof_sample_cycles = 100'000;  // 0 = sampler off
-  // Degradation knobs (see stm::Config): serial-irrevocable escalation after
-  // `retry_cap` consecutive aborts, per-transaction and whole-run
-  // virtual-cycle watchdogs. All 0 (off) by default.
-  unsigned retry_cap = 0;
-  std::uint64_t tx_cycle_budget = 0;
-  std::uint64_t watchdog_cycles = 0;
-  // NUMA shape + placement policy (see --numa-nodes / --numa-policy) and
-  // per-node ORT sharding (0 = single global table).
-  sim::Topology topology{};
-  alloc::NumaOptions numa{};
-  unsigned ort_shards = 0;
 };
 
 struct StampOutcome {
   AppResult result;
-  alloc::AllocationProfile profile{};  // filled when instrument was set
+  alloc::AllocationProfile profile{};  // filled when instrumented
 };
 
 StampOutcome run_stamp(const StampRun& run);

@@ -1,14 +1,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "alloc/instrument.hpp"
-#include "check/check_alloc.hpp"
-#include "fault/fault.hpp"
-#include "fault/fault_alloc.hpp"
-#include "guard/guard.hpp"
-#include "guard/guard_alloc.hpp"
 #include "prof/prof.hpp"
-#include "prof/prof_alloc.hpp"
 #include "stamp/app.hpp"
 
 namespace tmx::stamp {
@@ -39,66 +32,10 @@ AppResult run_app(const std::string& name, const AppContext& ctx) {
 }
 
 StampOutcome run_stamp(const StampRun& run) {
-  // NUMA view first: allocator construction and the STM's ORT shards consult
-  // the registry; the default snapshot covers wrapped inner providers.
-  sim::numa_configure(run.topology, static_cast<unsigned>(run.threads));
-  alloc::set_default_numa(run.numa);
-  std::unique_ptr<alloc::Allocator> base =
-      alloc::create_allocator(run.allocator);
-  if (alloc::PageProvider* pages = base->page_provider()) {
-    pages->set_numa(run.numa);
-  }
-  // The checker sits innermost, directly on the model: it owns the
-  // authoritative live-block tables and must observe the final placement
-  // reality (see check_alloc.hpp for the wrap-order contract).
-  if (check::enabled()) {
-    base = std::make_unique<check::CheckedAllocator>(std::move(base));
-  }
-  // The guard sits directly above the checker: quarantined frees reach the
-  // checker's lifetime tables only when the quarantine releases them.
-  if (guard::enabled()) {
-    base = std::make_unique<guard::GuardedAllocator>(std::move(base));
-  }
-  // Fault injection sits directly on the model, *under* instrumentation, so
-  // the profile and any recorded trace see the post-fault results (an
-  // injected OOM is recorded as a null allocation and replays as one).
-  if (fault::enabled()) {
-    base = std::make_unique<fault::FaultyAllocator>(std::move(base));
-  }
-  alloc::InstrumentingAllocator* instr = nullptr;
-  std::unique_ptr<alloc::Allocator> top;
-  if (run.instrument) {
-    auto wrapped =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(base));
-    instr = wrapped.get();
-    top = std::move(wrapped);
-  } else {
-    top = std::move(base);
-  }
-  // The profiler wraps outermost so its latencies are what the application
-  // experienced through every other layer. Installing here (fresh per run)
-  // scopes the recorded data to this case; the session exports it after the
-  // run and uninstalls.
-  if (run.prof) {
-    top = std::make_unique<prof::ProfilingAllocator>(std::move(top));
-    prof::ProfConfig pcfg;
-    pcfg.sample_cycles = run.prof_sample_cycles;
-    pcfg.allocator = top.get();
-    prof::install(pcfg);
-  }
-
-  stm::Config scfg;
-  scfg.ort_log2 = run.ort_log2;
-  scfg.shift = run.shift;
-  scfg.design = run.design;
-  scfg.cm = run.cm;
-  scfg.tx_alloc_cache = run.tx_alloc_cache;
-  scfg.htm.enabled = run.htm_enabled;
-  scfg.allocator = top.get();
-  scfg.retry_cap = run.retry_cap;
-  scfg.tx_cycle_budget = run.tx_cycle_budget;
-  scfg.ort_shards = run.ort_shards;
-  stm::Stm stm(scfg);
+  run.configure_numa();
+  const stm::AllocatorStack stack = stm::build_stack(
+      run.allocator, run.instrument, run.prof, run.prof_sample_cycles);
+  stm::Stm stm(run.stm_config(stack.top.get()));
 
   AppContext ctx;
   ctx.stm = &stm;
@@ -112,7 +49,7 @@ StampOutcome run_stamp(const StampRun& run) {
 
   StampOutcome out;
   out.result = run_app(run.app, ctx);
-  if (instr != nullptr) out.profile = instr->profile();
+  if (stack.instrument != nullptr) out.profile = stack.instrument->profile();
   // Final RSS/fragmentation row while the observed allocator is still
   // alive; after return the profiler only holds copied data.
   if (run.prof) prof::sample_now();

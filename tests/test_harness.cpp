@@ -136,6 +136,33 @@ TEST(Options, EngineSelection) {
   EXPECT_EQ(rc.kind, sim::EngineKind::Threads);
 }
 
+TEST(Options, DesignAndCmSelection) {
+  const char* argv[] = {"prog", "--design", "ctl", "--cm", "backoff"};
+  Options o(5, const_cast<char**>(argv));
+  EXPECT_EQ(o.design(), stm::StmDesign::kCommitTimeLocking);
+  EXPECT_EQ(o.cm(), stm::ContentionManager::kBackoff);
+  const char* none[] = {"prog"};
+  Options d(1, const_cast<char**>(none));
+  EXPECT_EQ(d.design(), stm::StmDesign::kWriteBackEtl);
+  EXPECT_EQ(d.cm(), stm::ContentionManager::kSuicide);
+}
+
+// A misspelled design or contention manager must not silently measure the
+// default: both accessors exit 2 with a message naming the valid values.
+TEST(Options, UnknownDesignExits2) {
+  const char* argv[] = {"prog", "--design", "bogus"};
+  Options o(3, const_cast<char**>(argv));
+  EXPECT_EXIT(o.design(), ::testing::ExitedWithCode(2),
+              "unknown --design 'bogus' \\(wb\\|wt\\|ctl\\)");
+}
+
+TEST(Options, UnknownCmExits2) {
+  const char* argv[] = {"prog", "--cm", "bogus"};
+  Options o(3, const_cast<char**>(argv));
+  EXPECT_EXIT(o.cm(), ::testing::ExitedWithCode(2),
+              "unknown --cm 'bogus' \\(suicide\\|backoff\\)");
+}
+
 TEST(Table, CsvRoundTrip) {
   Table t({"a", "b"});
   t.add_row({"1", "x"});
