@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const std::string a = opt.get("a", "glibc");
   const std::string b = opt.get("b", "tcmalloc");
   const std::string which = opt.get("struct", "list");
-  const int threads = static_cast<int>(opt.get_long("threads", 8));
+  const int threads = opt.thread_count(8);
   const double updates = opt.get_double("updates", 60.0) / 100.0;
   const int reps = opt.reps(3);
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string alloc_name = opt.get("alloc", "tcmalloc");
-  const int threads = static_cast<int>(opt.get_long("threads", 8));
+  const int threads = opt.thread_count(8);
   const std::string which = opt.get("struct", "rbtree");
   harness::SetKind kind = harness::SetKind::kRbTree;
   if (which == "list") kind = harness::SetKind::kList;

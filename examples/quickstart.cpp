@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace tmx;
   harness::Options opt(argc, argv);
   const std::string alloc_name = opt.get("alloc", "tcmalloc");
-  const int threads = static_cast<int>(opt.get_long("threads", 8));
+  const int threads = opt.thread_count(8);
 
   // 1. Pick an allocator model (the study's LD_PRELOAD equivalent).
   auto allocator = alloc::create_allocator(alloc_name);

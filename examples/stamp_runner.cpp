@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   stamp::StampRun run;
   run.app = app;
   run.allocator = opt.get("alloc", "glibc");
-  run.threads = static_cast<int>(opt.get_long("threads", 8));
+  run.threads = opt.thread_count(8);
   run.engine = opt.engine();
   run.cache_model = opt.get_long("cache-model", 1) != 0;
   run.seed = opt.seed();

@@ -30,7 +30,7 @@ using namespace tmx;
 
 replay::SynthConfig synth_config(const harness::Options& opt) {
   replay::SynthConfig sc;
-  sc.threads = static_cast<std::uint32_t>(opt.get_long("threads", 4));
+  sc.threads = static_cast<std::uint32_t>(opt.thread_count(4));
   sc.ops_per_thread = static_cast<std::uint64_t>(opt.get_long("ops", 1000));
   sc.live_per_thread = static_cast<std::uint32_t>(opt.get_long("live", 256));
   sc.tx_fraction = opt.get_double("tx-fraction", 1.0);

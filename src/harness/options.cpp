@@ -1,7 +1,10 @@
 #include "harness/options.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "alloc/allocator.hpp"
 #include "util/env.hpp"
@@ -40,28 +43,72 @@ std::string Options::get(const std::string& name,
   return fallback;
 }
 
+namespace {
+
+// A numeric flag whose value is empty, has trailing junk or overflows must
+// not silently measure a different configuration: report it and exit 2.
+[[noreturn]] void bad_number(const std::string& name, const std::string& v,
+                             const char* expected) {
+  std::fprintf(stderr, "invalid --%s '%s' (expected %s)\n", name.c_str(),
+               v.c_str(), expected);
+  std::exit(2);
+}
+
+long parse_long(const std::string& name, const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0' || errno == ERANGE) {
+    bad_number(name, v, "an integer");
+  }
+  return x;
+}
+
+// Comma-separated items, empty ones included.
+std::vector<std::string> split_commas(const std::string& v) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (;;) {
+    const auto comma = v.find(',', start);
+    out.push_back(v.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+int checked_threads(long n) {
+  if (n < 1 || n > kMaxThreads) {
+    std::fprintf(stderr, "--threads %ld out of range [1, %d]\n", n,
+                 kMaxThreads);
+    std::exit(2);
+  }
+  return static_cast<int>(n);
+}
+
+}  // namespace
+
 long Options::get_long(const std::string& name, long fallback) const {
-  const std::string v = get(name, "");
-  return v.empty() ? fallback : std::strtol(v.c_str(), nullptr, 10);
+  return has(name) ? parse_long(name, get(name, "")) : fallback;
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
+  if (!has(name)) return fallback;
   const std::string v = get(name, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || errno == ERANGE) {
+    bad_number(name, v, "a number");
+  }
+  return x;
 }
 
 std::vector<std::string> Options::get_list(const std::string& name,
                                            const std::string& fallback) const {
-  const std::string v = get(name, fallback);
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const auto comma = v.find(',', start);
-    const std::string item = v.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  for (auto& item : split_commas(get(name, fallback))) {
+    if (!item.empty()) out.push_back(std::move(item));
   }
   return out;
 }
@@ -69,8 +116,10 @@ std::vector<std::string> Options::get_list(const std::string& name,
 std::vector<int> Options::get_int_list(const std::string& name,
                                        const std::string& fallback) const {
   std::vector<int> out;
-  for (const auto& s : get_list(name, fallback)) {
-    out.push_back(static_cast<int>(std::strtol(s.c_str(), nullptr, 10)));
+  for (const auto& item : split_commas(get(name, fallback))) {
+    const long x = parse_long(name, item);
+    if (x < INT_MIN || x > INT_MAX) bad_number(name, item, "an int");
+    out.push_back(static_cast<int>(x));
   }
   return out;
 }
@@ -88,7 +137,13 @@ int Options::reps(int fallback) const {
 }
 
 std::vector<int> Options::threads(const std::string& fallback) const {
-  return get_int_list("threads", fallback);
+  std::vector<int> out = get_int_list("threads", fallback);
+  for (int& n : out) n = checked_threads(n);
+  return out;
+}
+
+int Options::thread_count(int fallback) const {
+  return checked_threads(get_long("threads", fallback));
 }
 
 std::vector<std::string> Options::allocators(

@@ -24,6 +24,8 @@ class Options {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  // Numeric getters return `fallback` when the flag is absent; a value that
+  // is empty, has trailing junk or does not fit exits 2 with a message.
   long get_long(const std::string& name, long fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::vector<std::string> get_list(const std::string& name,
@@ -36,8 +38,10 @@ class Options {
   sim::EngineKind engine() const;
   // --reps N: repetitions per configuration
   int reps(int fallback) const;
-  // --threads 1,2,4,8
+  // --threads 1,2,4,8 (each in [1, kMaxThreads], else exit 2)
   std::vector<int> threads(const std::string& fallback = "1,2,4,8") const;
+  // --threads N, for tools that run one thread count (range as above)
+  int thread_count(int fallback) const;
   // --alloc glibc,hoard,tbb,tcmalloc
   std::vector<std::string> allocators(
       const std::string& fallback = "glibc,hoard,tbb,tcmalloc") const;

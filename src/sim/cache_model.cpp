@@ -7,6 +7,9 @@
 #include "sim/numa.hpp"
 
 namespace tmx::sim {
+namespace {
+constexpr std::size_t kNoSlot = ~std::size_t{0};
+}  // namespace
 
 CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
     : geo_(geo), lat_(lat) {
@@ -37,12 +40,38 @@ CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
   l2_tags_.assign(l2_lines, kNoTag);
   l2_lru_.assign(l2_lines, 0);
   stats_.assign(geo.cores, {});
+  const unsigned sharer_log2 = log2_ceil(2 * l1_lines);
+  sharers_.assign(std::size_t{1} << sharer_log2, SharerEntry{});
+  sharer_mask_ = sharers_.size() - 1;
+  sharer_shift_ = 64 - sharer_log2;
 }
 
 CacheStats CacheModel::total_stats() const {
   CacheStats t;
   for (const auto& s : stats_) t.add(s);
   return t;
+}
+
+void CacheModel::clear_sharer(std::uintptr_t line_addr, unsigned core) {
+  const std::size_t i = sharer_slot(line_addr);
+  SharerMask& mask = sharers_[i].mask;
+  mask.w[core >> 6] &= ~(std::uint64_t{1} << (core & 63));
+  if (!mask.any()) erase_sharer_slot(i);
+}
+
+void CacheModel::erase_sharer_slot(std::size_t i) {
+  // Backward shift: walk the probe run after the hole and pull back every
+  // entry whose home does not lie cyclically in (hole, its slot], so no
+  // lookup ever stops early at the hole.
+  for (std::size_t j = (i + 1) & sharer_mask_; sharers_[j].tag != kNoTag;
+       j = (j + 1) & sharer_mask_) {
+    const std::size_t home = sharer_home(sharers_[j].tag);
+    if (((j - home) & sharer_mask_) >= ((j - i) & sharer_mask_)) {
+      sharers_[i] = sharers_[j];
+      i = j;
+    }
+  }
+  sharers_[i] = SharerEntry{};
 }
 
 int CacheModel::find_way(const std::uintptr_t* tags, unsigned ways,
@@ -90,6 +119,7 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
   const std::size_t base = l1_base(core, set);
   const std::size_t mru_slot = static_cast<std::size_t>(core) * l1_sets_ + set;
   std::uintptr_t* tags = &l1_tags_[base];
+  std::size_t slot = kNoSlot;  // the line's sharer-table slot, once looked up
   // MRU probe: STM barrier streams revisit the same line in tight clusters
   // (lock word then data word, retry loops), so checking the last way hit
   // usually answers without the associative scan. A stale MRU way simply
@@ -138,18 +168,14 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
     }
     TMX_OBS_EVENT(obs::EventKind::kCacheMiss, line_addr, latency,
                   /*miss level=*/w2 >= 0 ? 1 : 2);
-    // Fill L1, updating the sharer map: the victim line (if any) leaves
+    // Fill L1, updating the sharer table: the victim line (if any) leaves
     // this core, the new line enters it.
     way = victim_way(tags, &l1_lru_[base], geo_.l1_ways);
-    if (tags[way] != kNoTag) {
-      const auto old = sharers_.find(tags[way]);
-      if (old != sharers_.end()) {
-        old->second.w[core >> 6] &= ~(std::uint64_t{1} << (core & 63));
-        if (!old->second.any()) sharers_.erase(old);
-      }
-    }
+    if (tags[way] != kNoTag) clear_sharer(tags[way], core);
     tags[way] = line_addr;
-    sharers_[line_addr].w[core >> 6] |= std::uint64_t{1} << (core & 63);
+    slot = sharer_slot(line_addr);
+    sharers_[slot].tag = line_addr;
+    sharers_[slot].mask.w[core >> 6] |= std::uint64_t{1} << (core & 63);
   }
   l1_mru_[mru_slot] = static_cast<std::uint8_t>(way);
   l1_lru_[base + way] = tick_;
@@ -160,9 +186,9 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
     // core's L1. The sharer mask lists exactly the cores whose L1 holds
     // the line (ascending id, matching the original full scan's order),
     // so the cost is O(sharers) instead of O(cores).
-    const auto it = sharers_.find(line_addr);
-    TMX_ASSERT(it != sharers_.end());
-    SharerMask& mask = it->second;
+    if (slot == kNoSlot) slot = sharer_slot(line_addr);
+    SharerMask& mask = sharers_[slot].mask;
+    TMX_ASSERT(sharers_[slot].tag == line_addr);
     for (unsigned wd = 0; wd < 4; ++wd) {
       std::uint64_t bits = mask.w[wd];
       while (bits != 0) {

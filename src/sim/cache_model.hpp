@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/macros.hpp"
@@ -139,13 +138,39 @@ class CacheModel {
   // O(actual sharers) rather than O(cores) — the difference between 8 and
   // 256 simulated cores. Invariant: bit (core) is set iff the line's tag
   // is present in that core's L1; maintained at fill, eviction and
-  // invalidation. Entries are erased when the mask empties, bounding the
-  // map by total L1 capacity.
+  // invalidation.
   struct SharerMask {
     std::uint64_t w[4] = {0, 0, 0, 0};
     bool any() const { return (w[0] | w[1] | w[2] | w[3]) != 0; }
   };
   static constexpr unsigned kMaxSharerCores = 256;
+
+  // The sharer masks live in a fixed open-addressed table keyed by line
+  // tag: linear probing, kNoTag marks an empty slot, and an entry whose
+  // mask empties is removed by backward-shift deletion, so probe runs stay
+  // gap-free without tombstones. The invariant above bounds the entries by
+  // the total L1 lines, and the table has at least twice that many slots,
+  // so it never grows and never fills.
+  struct SharerEntry {
+    std::uintptr_t tag = kNoTag;
+    SharerMask mask;
+  };
+  // Slot holding `line_addr`, or the empty slot that ends its probe run.
+  std::size_t sharer_slot(std::uintptr_t line_addr) const {
+    std::size_t i = sharer_home(line_addr);
+    while (sharers_[i].tag != line_addr && sharers_[i].tag != kNoTag) {
+      i = (i + 1) & sharer_mask_;
+    }
+    return i;
+  }
+  // Fibonacci hash of the tag; the top bits pick the home slot.
+  std::size_t sharer_home(std::uintptr_t tag) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(tag) * 0x9e3779b97f4a7c15ull) >>
+        sharer_shift_);
+  }
+  void clear_sharer(std::uintptr_t line_addr, unsigned core);
+  void erase_sharer_slot(std::size_t i);
 
   CacheGeometry geo_;
   LatencyModel lat_;
@@ -163,7 +188,9 @@ class CacheModel {
   std::vector<std::uintptr_t> l2_tags_;  // [node][set][way]
   std::vector<std::uint64_t> l2_lru_;
   std::vector<CacheStats> stats_;
-  std::unordered_map<std::uintptr_t, SharerMask> sharers_;
+  std::vector<SharerEntry> sharers_;
+  std::size_t sharer_mask_ = 0;  // table size - 1
+  unsigned sharer_shift_ = 0;    // 64 - log2(table size)
   std::uint64_t tick_ = 0;
 };
 

@@ -91,113 +91,7 @@ namespace {
 // Fiber engine internals
 // ---------------------------------------------------------------------------
 
-struct Fiber;
-
-// Discrete-event order: smallest virtual time first, ties broken by fiber
-// id — the exact order the original O(threads) min-scan produced.
-bool runs_before(const Fiber* a, const Fiber* b);
-
-// One core's run queue: a binary min-heap of the runnable fibers pinned to
-// that core, keyed by (vtime, id). With the default one-fiber-per-core
-// topology each queue holds at most one fiber; topologies with fewer cores
-// than fibers multiplex several fibers per queue.
-struct CoreQueue {
-  std::vector<Fiber*> q;
-};
-
-struct FiberEngine {
-#if TMX_FAST_CTX
-  void* main_sp = nullptr;
-#else
-  ucontext_t main_ctx{};
-#endif
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  // Two-level runnable structure: per-core queues plus an indexed min-heap
-  // of the cores whose queue is nonempty, keyed by each queue's head
-  // fiber. The global (vtime, id) minimum is the head of cheap[0]'s queue;
-  // `cpos` maps core -> position in `cheap` (-1 when empty) so a head
-  // change re-sifts one path instead of rebuilding. The currently
-  // executing fiber is never queued.
-  std::vector<CoreQueue> queues;
-  std::vector<unsigned> cheap;
-  std::vector<int> cpos;
-  // The running fiber's scheduling quantum: the (vtime, id) key of the
-  // best queued fiber, captured when the running fiber was resumed. The
-  // engine is single-threaded, so no queued fiber's key can change while
-  // one fiber runs — every yield inside the quantum batch-advances with
-  // this one cached compare and zero queue traffic.
-  std::uint64_t q_vtime = 0;
-  int q_id = 0;
-  bool q_valid = false;
-  std::uint64_t quantum_absorbed = 0;  // fast resumes in the open quantum
-  unsigned last_core = 0;
-  std::uint64_t watchdog = UINT64_MAX;  // per-run virtual-cycle budget
-  std::size_t stack_size = 0;
-#if TMX_ASAN_FIBERS
-  void* main_fake_stack = nullptr;       // the scheduler context's save slot
-  void* main_stack_bottom = nullptr;     // host-thread stack, for switches
-  std::size_t main_stack_size = 0;       //   back into the main context
-#endif
-  SchedStats sched;
-  std::unique_ptr<CacheModel> cache;
-  const std::function<void(int)>* body = nullptr;
-
-  bool core_before(unsigned a, unsigned b) const;
-
-  void cheap_sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!core_before(cheap[i], cheap[parent])) break;
-      std::swap(cheap[i], cheap[parent]);
-      cpos[cheap[i]] = static_cast<int>(i);
-      cpos[cheap[parent]] = static_cast<int>(parent);
-      i = parent;
-    }
-  }
-
-  void cheap_sift_down(std::size_t i) {
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = l + 1;
-      std::size_t m = i;
-      if (l < cheap.size() && core_before(cheap[l], cheap[m])) m = l;
-      if (r < cheap.size() && core_before(cheap[r], cheap[m])) m = r;
-      if (m == i) break;
-      std::swap(cheap[i], cheap[m]);
-      cpos[cheap[i]] = static_cast<int>(i);
-      cpos[cheap[m]] = static_cast<int>(m);
-      i = m;
-    }
-  }
-
-  void push_fiber(Fiber* f);
-  Fiber* pop_min();
-
-  // Opens the next quantum: caches the key of the best queued fiber so the
-  // fast-resume compare in yield() needs no heap access.
-  void begin_quantum() {
-    if (cheap.empty()) {
-      q_valid = false;
-      return;
-    }
-    const Fiber* h = queues[cheap.front()].q.front();
-    q_vtime = fiber_vtime(h);
-    q_id = fiber_id(h);
-    q_valid = true;
-  }
-
-  // Closes a quantum at a genuine switch or a fiber finish: a quantum that
-  // absorbed at least one fast resume was a batch advance.
-  void end_quantum() {
-    if (quantum_absorbed != 0) {
-      ++sched.batch_advances;
-      quantum_absorbed = 0;
-    }
-  }
-
-  static std::uint64_t fiber_vtime(const Fiber* f);
-  static int fiber_id(const Fiber* f);
-};
+struct FiberEngine;
 
 struct Fiber {
 #if TMX_FAST_CTX
@@ -209,7 +103,7 @@ struct Fiber {
   std::uint64_t vtime = 0;
   bool finished = false;
   int id = 0;
-  unsigned core = 0;  // run-queue / cache-model core, id % total_cores
+  unsigned core = 0;  // cache-model core, id % total_cores
   unsigned node = 0;  // NUMA node of that core
   FiberEngine* engine = nullptr;
 #if TMX_ASAN_FIBERS
@@ -217,8 +111,102 @@ struct Fiber {
 #endif
 };
 
-std::uint64_t FiberEngine::fiber_vtime(const Fiber* f) { return f->vtime; }
-int FiberEngine::fiber_id(const Fiber* f) { return f->id; }
+// One runnable fiber in the run heap. The (vtime, id) key is stored inline,
+// so a compare reads the slot and never chases the Fiber pointer. A queued
+// fiber's key cannot go stale: only the running fiber advances its clock,
+// and the running fiber is never in the heap.
+struct RunSlot {
+  std::uint64_t vtime;
+  int id;
+  Fiber* fiber;
+};
+
+// Discrete-event order: smallest virtual time first, ties broken by fiber
+// id — the exact order the original O(threads) min-scan produced. Ids are
+// unique, so the order is total and every correct heap pops the same fiber.
+bool runs_before(const RunSlot& a, const RunSlot& b) {
+  return a.vtime < b.vtime || (a.vtime == b.vtime && a.id < b.id);
+}
+
+struct FiberEngine {
+#if TMX_FAST_CTX
+  void* main_sp = nullptr;
+#else
+  ucontext_t main_ctx{};
+#endif
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  // Every runnable fiber, whatever its core, in one binary min-heap by
+  // (vtime, id). heap[0] is the running fiber's scheduling quantum: while
+  // the running fiber stays ahead of it, a yield resumes in place.
+  std::vector<RunSlot> heap;
+  std::uint64_t quantum_absorbed = 0;  // fast resumes in the open quantum
+  std::uint64_t watchdog = UINT64_MAX;  // per-run virtual-cycle budget
+  std::size_t stack_size = 0;
+#if TMX_ASAN_FIBERS
+  void* main_fake_stack = nullptr;       // the scheduler context's save slot
+  void* main_stack_bottom = nullptr;     // host-thread stack, for switches
+  std::size_t main_stack_size = 0;       //   back into the main context
+#endif
+  SchedStats sched;
+  std::unique_ptr<CacheModel> cache;
+  const std::function<void(int)>* body = nullptr;
+
+  // Places `s` at hole `i` and moves it down to its heap position.
+  void sift_down(std::size_t i, RunSlot s) {
+    const std::size_t n = heap.size();
+    for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && runs_before(heap[c + 1], heap[c])) ++c;
+      if (!runs_before(heap[c], s)) break;
+      heap[i] = heap[c];
+      i = c;
+    }
+    heap[i] = s;
+  }
+
+  // Seeds a fiber into the heap (once per fiber, before the run starts).
+  void push(Fiber* f) {
+    ++sched.heap_ops;
+    const RunSlot s{f->vtime, f->id, f};
+    std::size_t i = heap.size();
+    heap.push_back(s);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!runs_before(s, heap[parent])) break;
+      heap[i] = heap[parent];
+      i = parent;
+    }
+    heap[i] = s;
+  }
+
+  // Removes and returns the minimum; used when a fiber finishes.
+  Fiber* pop_min() {
+    ++sched.heap_ops;
+    Fiber* top = heap.front().fiber;
+    const RunSlot last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) sift_down(0, last);
+    return top;
+  }
+
+  // A genuine switch: returns the minimum and queues `f` in its place with
+  // one sift. `f` is behind the quantum bound heap[0], so it is never the
+  // fiber returned — the same pick push-then-pop would make.
+  Fiber* replace_top(Fiber* f) {
+    ++sched.heap_ops;
+    Fiber* top = heap.front().fiber;
+    sift_down(0, RunSlot{f->vtime, f->id, f});
+    return top;
+  }
+
+  // Closes a quantum at a genuine switch or a fiber finish: a quantum that
+  // absorbed at least one fast resume was a batch advance.
+  void end_quantum() {
+    if (quantum_absorbed != 0) {
+      ++sched.batch_advances;
+      quantum_absorbed = 0;
+    }
+  }
+};
 
 #if TMX_ASAN_FIBERS
 // Bracket a context switch: `save` is the outgoing context's save slot
@@ -232,71 +220,6 @@ int FiberEngine::fiber_id(const Fiber* f) { return f->id; }
 #define TMX_FIBER_SWITCH_BEGIN(save, bottom, size) ((void)0)
 #define TMX_FIBER_SWITCH_END(saved) ((void)0)
 #endif
-
-bool runs_before(const Fiber* a, const Fiber* b) {
-  return a->vtime < b->vtime || (a->vtime == b->vtime && a->id < b->id);
-}
-
-bool FiberEngine::core_before(unsigned a, unsigned b) const {
-  return runs_before(queues[a].q.front(), queues[b].q.front());
-}
-
-void FiberEngine::push_fiber(Fiber* f) {
-  ++sched.heap_ops;
-  auto& q = queues[f->core].q;
-  const Fiber* old_head = q.empty() ? nullptr : q.front();
-  std::size_t i = q.size();
-  q.push_back(f);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!runs_before(q[i], q[parent])) break;
-    std::swap(q[i], q[parent]);
-    i = parent;
-  }
-  if (old_head == nullptr) {
-    cpos[f->core] = static_cast<int>(cheap.size());
-    cheap.push_back(f->core);
-    cheap_sift_up(cheap.size() - 1);
-  } else if (q.front() != old_head) {
-    // The queue's head got smaller; its core can only move up.
-    cheap_sift_up(static_cast<std::size_t>(cpos[f->core]));
-  }
-}
-
-Fiber* FiberEngine::pop_min() {
-  ++sched.heap_ops;
-  const unsigned c = cheap.front();
-  auto& q = queues[c].q;
-  Fiber* top = q.front();
-  Fiber* last = q.back();
-  q.pop_back();
-  if (!q.empty()) {
-    q[0] = last;
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = l + 1;
-      std::size_t m = i;
-      if (l < q.size() && runs_before(q[l], q[m])) m = l;
-      if (r < q.size() && runs_before(q[r], q[m])) m = r;
-      if (m == i) break;
-      std::swap(q[i], q[m]);
-      i = m;
-    }
-    // The head got larger (or stayed); its core can only move down.
-    cheap_sift_down(0);
-  } else {
-    cpos[c] = -1;
-    const unsigned lastc = cheap.back();
-    cheap.pop_back();
-    if (!cheap.empty()) {
-      cheap[0] = lastc;
-      cpos[lastc] = 0;
-      cheap_sift_down(0);
-    }
-  }
-  return top;
-}
 
 // The engine runs on a single OS thread; these thread_locals let the hook
 // functions find the current fiber without a lock, and remain null on every
@@ -434,9 +357,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     eng.cache = std::make_unique<CacheModel>(geo, cfg.latency);
   }
 
-  eng.queues.resize(cores);
-  eng.cpos.assign(cores, -1);
-  eng.cheap.reserve(cores);
+  eng.heap.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     auto f = std::make_unique<Fiber>();
     f->id = static_cast<int>(i);
@@ -463,19 +384,18 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   if (TMX_UNLIKELY(check_hooks_on())) {
     if (auto* fork = detail::g_check_hooks.run_fork) fork(cfg.threads);
   }
-  for (auto& f : eng.fibers) eng.push_fiber(f.get());
+  for (auto& f : eng.fibers) eng.push(f.get());
   // Discrete-event loop: resume the runnable fiber with the smallest
   // virtual time (ties broken by id for determinism). Yields switch fiber
   // to fiber directly, so control returns here only when a fiber finishes;
   // the loop then seeds the next minimum (or exits when all are done).
-  bool seeded = false;
-  while (!eng.cheap.empty()) {
+  const Fiber* finished = nullptr;
+  while (!eng.heap.empty()) {
     Fiber* next = eng.pop_min();
-    eng.begin_quantum();
     ++eng.sched.switches;
-    if (seeded && next->core != eng.last_core) ++eng.sched.queue_migrations;
-    seeded = true;
-    eng.last_core = next->core;
+    if (finished != nullptr && next->core != finished->core) {
+      ++eng.sched.queue_migrations;
+    }
     g_fiber = next;
     g_tid = next->id;
     TMX_FIBER_SWITCH_BEGIN(&eng.main_fake_stack, next->stack.get(),
@@ -486,6 +406,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     TMX_ASSERT(swapcontext(&eng.main_ctx, &next->ctx) == 0);
 #endif
     TMX_FIBER_SWITCH_END(eng.main_fake_stack);
+    finished = g_fiber;  // whichever fiber ran last is the one that finished
     g_fiber = nullptr;
     g_tid = saved_tid;
     eng.end_quantum();  // the finishing fiber's quantum
@@ -601,29 +522,23 @@ void yield() {
     watchdog_trip("run", eng->watchdog, f->vtime);
   }
   // Batched fast resume: while the yielding fiber stays ahead of the
-  // cached quantum bound — the (vtime, id) key of the best queued fiber,
-  // which cannot change while this fiber runs — the scheduler would pick
-  // it right back; keep executing with zero queue traffic. This is the
-  // overwhelmingly common case at low contention and preserves the
-  // min-virtual-time schedule exactly.
-  if (!eng->q_valid || f->vtime < eng->q_vtime ||
-      (f->vtime == eng->q_vtime && f->id < eng->q_id)) {
+  // quantum bound — the (vtime, id) key of the best queued fiber, which
+  // cannot change while this fiber runs — the scheduler would pick it right
+  // back; keep executing with zero heap traffic. This is the common case at
+  // low contention and preserves the min-virtual-time schedule exactly.
+  if (eng->heap.empty() ||
+      runs_before(RunSlot{f->vtime, f->id, f}, eng->heap.front())) {
     ++eng->sched.fast_resumes;
     ++eng->quantum_absorbed;
     return;
   }
   // Genuine switch: hand the core straight to the new minimum instead of
-  // bouncing through the scheduler context. Push-then-pop is safe: the
-  // yielding fiber is behind the quantum bound, so it cannot be the
-  // minimum it pops. Control returns to the scheduler context only when a
-  // fiber finishes.
+  // bouncing through the scheduler context. Control returns to the
+  // scheduler context only when a fiber finishes.
   eng->end_quantum();
-  eng->push_fiber(f);
-  Fiber* next = eng->pop_min();
-  eng->begin_quantum();
+  Fiber* next = eng->replace_top(f);
   ++eng->sched.switches;
   if (next->core != f->core) ++eng->sched.queue_migrations;
-  eng->last_core = next->core;
   g_fiber = next;
   g_tid = next->id;
   TMX_FIBER_SWITCH_BEGIN(&f->fake_stack, next->stack.get(), eng->stack_size);

@@ -12,18 +12,18 @@
 //    barriers and allocator internals call tick()/probe()/yield() to
 //    account costs and expose interleavings.
 //
-//    The scheduler is organized for 256-fiber scale: fibers are pinned to
-//    per-core run queues (small binary heaps), a cross-core indexed
-//    min-heap over the queue *heads* yields the global (vtime, id)
-//    minimum, and the running fiber caches the next pending event's key
-//    (its scheduling quantum) so a yield that stays inside the quantum
-//    batch-advances in place with a single compare — no queue or heap
-//    traffic at all (the fast-resume path). Genuine switches swap fiber to
+//    The scheduler keeps every runnable fiber, whatever its core, in one
+//    binary min-heap of {vtime, id, Fiber*} slots with the key inline.
+//    The heap top is the running fiber's scheduling quantum: a yield that
+//    stays ahead of it batch-advances in place with a single compare and
+//    no heap traffic (the fast-resume path). A genuine switch replaces
+//    the top with the yielding fiber and sifts once, then swaps fiber to
 //    fiber directly through a ~10ns assembly context switch on x86-64
 //    (ucontext elsewhere) instead of round-tripping through the scheduler
 //    context. All of this is pure mechanics under the same
 //    min-virtual-time discipline: tests/test_determinism.cpp pins the
-//    schedule bit-for-bit, at 4, 64 and 256 fibers and across topologies.
+//    schedule bit-for-bit, at 4, 64 and 256 fibers and across topologies,
+//    and tests/test_sim_properties.cpp checks it against an O(n) min-scan.
 //    Reported time = makespan in cycles / frequency.
 //
 //  * EngineKind::Threads — plain std::thread execution measured in wall
@@ -51,13 +51,13 @@ enum class EngineKind { Sim, Threads };
 // main loop when a fiber finishes); `fast_resumes` counts yields where the
 // running fiber was still inside its quantum (ahead of every queued
 // fiber in (vtime, id) order) and kept executing without any context
-// switch; `heap_ops` counts per-core run-queue pushes + pops;
-// `queue_migrations` counts genuine switches where the incoming fiber
-// came from a different core's run queue than the outgoing fiber's (with
-// the default one-fiber-per-core topology every genuine switch migrates);
-// `batch_advances` counts quanta that absorbed at least one fast resume,
-// i.e. scheduling rounds where a fiber batch-advanced through several
-// events before the next genuine switch.
+// switch; `heap_ops` counts run-heap operations: one seed push per fiber,
+// then exactly one per resume, so heap_ops == switches + threads;
+// `queue_migrations` counts switches to a fiber on a different core than
+// the fiber it replaces (with the default one-fiber-per-core topology
+// every switch migrates); `batch_advances` counts quanta that absorbed at
+// least one fast resume, i.e. scheduling rounds where a fiber
+// batch-advanced through several events before the next genuine switch.
 struct SchedStats {
   std::uint64_t switches = 0;
   std::uint64_t fast_resumes = 0;

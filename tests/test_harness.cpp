@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "harness/options.hpp"
 #include "harness/stats.hpp"
@@ -161,6 +162,59 @@ TEST(Options, UnknownCmExits2) {
   Options o(3, const_cast<char**>(argv));
   EXPECT_EXIT(o.cm(), ::testing::ExitedWithCode(2),
               "unknown --cm 'bogus' \\(suicide\\|backoff\\)");
+}
+
+// A numeric flag with an empty value or trailing junk must not parse as a
+// prefix (or fall back to the default): every numeric getter exits 2.
+TEST(Options, MalformedNumbersExit2) {
+  const char* argv[] = {"prog",       "--scale",     "abc", "--threads",
+                        "4x",         "--reps=",     "--seed", "12 ",
+                        "--list=1,,2", "--big", "99999999999999999999"};
+  Options o(11, const_cast<char**>(argv));
+  EXPECT_EXIT(o.scale(), ::testing::ExitedWithCode(2),
+              "invalid --scale 'abc' \\(expected a number\\)");
+  EXPECT_EXIT(o.threads(), ::testing::ExitedWithCode(2),
+              "invalid --threads '4x' \\(expected an integer\\)");
+  EXPECT_EXIT(o.thread_count(8), ::testing::ExitedWithCode(2),
+              "invalid --threads '4x'");
+  EXPECT_EXIT(o.reps(3), ::testing::ExitedWithCode(2), "invalid --reps ''");
+  EXPECT_EXIT(o.seed(), ::testing::ExitedWithCode(2), "invalid --seed '12 '");
+  EXPECT_EXIT(o.get_int_list("list", "1"), ::testing::ExitedWithCode(2),
+              "invalid --list ''");
+  EXPECT_EXIT(o.get_long("big", 0), ::testing::ExitedWithCode(2),
+              "invalid --big '99999999999999999999'");
+}
+
+TEST(Options, WellFormedNumbersParse) {
+  const char* argv[] = {"prog", "--scale", "0.25", "--threads", "-3",
+                        "--list", "1,-2,3"};
+  Options o(7, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(o.get_double("scale", 1.0), 0.25);
+  EXPECT_EQ(o.get_long("threads", 1), -3);
+  EXPECT_EQ(o.get_int_list("list", ""), (std::vector<int>{1, -2, 3}));
+  EXPECT_EQ(o.get_long("absent", 42), 42);
+  EXPECT_DOUBLE_EQ(o.get_double("absent", 1.5), 1.5);
+}
+
+// Thread counts outside [1, kMaxThreads] exit 2 at the flag, instead of
+// dying in the engine's assertion.
+TEST(Options, ThreadsOutOfRangeExit2) {
+  const char* zero[] = {"prog", "--threads", "0"};
+  Options z(3, const_cast<char**>(zero));
+  EXPECT_EXIT(z.thread_count(8), ::testing::ExitedWithCode(2),
+              "--threads 0 out of range \\[1, 256\\]");
+  EXPECT_EXIT(z.threads(), ::testing::ExitedWithCode(2),
+              "--threads 0 out of range");
+  const char* big[] = {"prog", "--threads", "1,257"};
+  Options b(3, const_cast<char**>(big));
+  EXPECT_EXIT(b.threads(), ::testing::ExitedWithCode(2),
+              "--threads 257 out of range \\[1, 256\\]");
+  const char* max[] = {"prog", "--threads", "1,256"};
+  Options m(3, const_cast<char**>(max));
+  EXPECT_EQ(m.threads(), (std::vector<int>{1, kMaxThreads}));
+  const char* none[] = {"prog"};
+  Options d(1, const_cast<char**>(none));
+  EXPECT_EQ(d.thread_count(8), 8);
 }
 
 TEST(Table, CsvRoundTrip) {

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -169,6 +171,124 @@ TEST(Barrier, WorksAcrossManyPhasesAndThreadCounts) {
       }
     });
   }
+}
+
+// ---------------------------------------------------------------------------
+// Schedule identity: the run heap must resume fibers in exactly the order a
+// brute-force O(n) scan for the smallest (vtime, id) produces. Each fiber
+// runs a seeded script of small random ticks (zeros included, so equal
+// clocks and id tie-breaks are common), yielding after each one, and
+// records (self_tid, now_cycles) every time a yield returns. Scripts have
+// different lengths, so fibers also finish mid-run.
+// ---------------------------------------------------------------------------
+
+using Resume = std::pair<int, std::uint64_t>;
+
+struct Expected {
+  std::vector<Resume> log;
+  SchedStats sched;
+};
+
+std::vector<std::vector<std::uint64_t>> tick_scripts(int fibers,
+                                                     std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<std::uint64_t>> scripts(fibers);
+  for (auto& s : scripts) {
+    s.resize(20 + rng() % 40);
+    for (auto& t : s) t = rng() % 6;
+  }
+  return scripts;
+}
+
+// Replays the scripts under the min-(vtime, id) rule by linear scan. Each
+// pick runs one step of the picked fiber: record the resume (unless it is
+// the fiber's first entry), then either finish or tick and yield.
+Expected reference_schedule(
+    const std::vector<std::vector<std::uint64_t>>& scripts, unsigned cores) {
+  const int n = static_cast<int>(scripts.size());
+  std::vector<std::uint64_t> vtime(n, 0);
+  std::vector<std::size_t> step(n, 0);
+  std::vector<bool> done(n, false);
+  Expected e;
+  e.sched.heap_ops = static_cast<std::uint64_t>(n);  // one seed push each
+  int running = -1;  // fiber that just yielded, -1 after a finish
+  int last = -1;     // fiber whose core the next resume is compared with
+  for (;;) {
+    int pick = -1;
+    for (int f = 0; f < n; ++f) {
+      if (done[f]) continue;
+      if (pick < 0 || vtime[f] < vtime[pick]) pick = f;
+    }
+    if (pick < 0) break;
+    if (pick == running) {
+      ++e.sched.fast_resumes;
+    } else {
+      ++e.sched.switches;
+      ++e.sched.heap_ops;
+      if (last >= 0 && static_cast<unsigned>(pick) % cores !=
+                           static_cast<unsigned>(last) % cores) {
+        ++e.sched.queue_migrations;
+      }
+    }
+    if (step[pick] > 0) e.log.emplace_back(pick, vtime[pick]);
+    last = pick;
+    if (step[pick] == scripts[pick].size()) {
+      done[pick] = true;
+      running = -1;
+      continue;
+    }
+    vtime[pick] += scripts[pick][step[pick]++];
+    running = pick;
+  }
+  return e;
+}
+
+void expect_reference_schedule(int fibers, Topology topo, std::uint64_t seed) {
+  const auto scripts = tick_scripts(fibers, seed);
+  RunConfig rc = cfg(fibers);
+  rc.topology = topo;
+  rc.stack_size = 64 << 10;
+  std::vector<Resume> log;
+  const RunResult r = run_parallel(rc, [&](int tid) {
+    for (const std::uint64_t t : scripts[tid]) {
+      tick(t);
+      yield();
+      log.emplace_back(self_tid(), now_cycles());
+    }
+  });
+  const unsigned nodes = topo.nodes == 0 ? 1 : topo.nodes;
+  const unsigned cores =
+      nodes * topo.resolved_cores_per_node(static_cast<unsigned>(fibers));
+  const Expected e = reference_schedule(scripts, cores);
+  ASSERT_EQ(log.size(), e.log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(log[i], e.log[i]) << "resume " << i;
+  }
+  EXPECT_EQ(r.sched.switches, e.sched.switches);
+  EXPECT_EQ(r.sched.fast_resumes, e.sched.fast_resumes);
+  EXPECT_EQ(r.sched.queue_migrations, e.sched.queue_migrations);
+  EXPECT_EQ(r.sched.heap_ops, e.sched.heap_ops);
+  // One seed push per fiber, then exactly one heap operation per resume.
+  EXPECT_EQ(r.sched.heap_ops,
+            r.sched.switches + static_cast<std::uint64_t>(fibers));
+  EXPECT_GT(r.sched.fast_resumes, 0u);
+}
+
+TEST(RunHeap, MatchesMinScanAt8Fibers) {
+  expect_reference_schedule(8, Topology{}, 101);
+}
+
+TEST(RunHeap, MatchesMinScanAt64Fibers) {
+  expect_reference_schedule(64, Topology{}, 102);
+}
+
+TEST(RunHeap, MatchesMinScanAt256Fibers) {
+  expect_reference_schedule(256, Topology{}, 103);
+}
+
+TEST(RunHeap, MatchesMinScanOversubscribed) {
+  // 64 fibers on 2 nodes x 4 cores: eight fibers share each core.
+  expect_reference_schedule(64, Topology{2, 4}, 104);
 }
 
 }  // namespace
