@@ -84,7 +84,7 @@ class Allocator {
   // adopt_page_provider() in their constructor.
   virtual PageProvider* page_provider() { return provider_; }
 
-  // -- Transaction-lifecycle hints (tmx::phase) --
+  // -- Transaction-lifecycle hints (tmx::phase, tmx::guard) --
   // The STM calls these at tx begin/commit/abort, and at proven quiescent
   // points (the serial-irrevocable window, explicit maintenance), but only
   // when wants_tx_hints() is true — so allocators that ignore transactions
@@ -93,16 +93,17 @@ class Allocator {
   // constants of hint-blind models bit-identical. `tid` is the logical
   // thread id; `serial` is true when the caller holds the serial-
   // irrevocable token (no other transaction is speculating, so relocation
-  // is safe).
+  // is safe). Decorators inherit ForwardingAllocator, which passes every
+  // hint (and wants_tx_hints) through to the wrapped allocator.
   virtual bool wants_tx_hints() const { return false; }
   virtual void tx_begin_hint(int) {}
   virtual void tx_commit_hint(int) {}
   virtual void tx_abort_hint(int) {}
   virtual void on_quiescence(bool) {}
 
-  // The wrapped allocator for the instrument/fault/check/prof shells,
-  // nullptr for leaf models. Lets tools unwrap the stack to reach a
-  // specific model (phase::as_phase) without widening every wrapper API.
+  // The wrapped allocator for the ForwardingAllocator shells, nullptr for
+  // leaf models. Lets tools unwrap the stack to reach a specific model
+  // (phase::as_phase) without widening every wrapper API.
   virtual Allocator* inner_allocator() { return nullptr; }
 
  protected:
@@ -123,6 +124,34 @@ class Allocator {
  private:
   std::atomic<std::size_t> live_bytes_{0};
   PageProvider* provider_ = nullptr;
+};
+
+// Base of the decorator shells (instrument, fault, check, prof, guard): owns
+// the wrapped allocator and forwards every query and transaction hint to it,
+// so a shell overrides only the calls it does work on.
+class ForwardingAllocator : public Allocator {
+ public:
+  explicit ForwardingAllocator(std::unique_ptr<Allocator> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t usable_size(const void* p) const override {
+    return inner_->usable_size(p);
+  }
+  const AllocatorTraits& traits() const override { return inner_->traits(); }
+  std::size_t os_reserved() const override { return inner_->os_reserved(); }
+  std::size_t live_bytes() const override { return inner_->live_bytes(); }
+  PageProvider* page_provider() override { return inner_->page_provider(); }
+  bool wants_tx_hints() const override { return inner_->wants_tx_hints(); }
+  void tx_begin_hint(int tid) override { inner_->tx_begin_hint(tid); }
+  void tx_commit_hint(int tid) override { inner_->tx_commit_hint(tid); }
+  void tx_abort_hint(int tid) override { inner_->tx_abort_hint(tid); }
+  void on_quiescence(bool serial) override { inner_->on_quiescence(serial); }
+  Allocator* inner_allocator() override { return inner_.get(); }
+
+  Allocator& inner() { return *inner_; }
+
+ protected:
+  std::unique_ptr<Allocator> inner_;
 };
 
 // ---------------------------------------------------------------------------

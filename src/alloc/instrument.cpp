@@ -39,7 +39,7 @@ const char* size_bucket_name(int bucket) {
 
 InstrumentingAllocator::InstrumentingAllocator(
     std::unique_ptr<Allocator> inner)
-    : inner_(std::move(inner)) {}
+    : ForwardingAllocator(std::move(inner)) {}
 
 void* InstrumentingAllocator::allocate(std::size_t size) {
   const int tid = sim::self_tid();

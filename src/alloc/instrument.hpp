@@ -71,27 +71,13 @@ void publish_metrics(const AllocationProfile& profile,
                      obs::MetricsRegistry& reg,
                      const std::string& prefix = "alloc.");
 
-class InstrumentingAllocator final : public Allocator {
+class InstrumentingAllocator final : public ForwardingAllocator {
  public:
   explicit InstrumentingAllocator(std::unique_ptr<Allocator> inner);
 
   void* allocate(std::size_t size) override;
   void deallocate(void* p) override;
-  std::size_t usable_size(const void* p) const override {
-    return inner_->usable_size(p);
-  }
-  const AllocatorTraits& traits() const override { return inner_->traits(); }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  PageProvider* page_provider() override { return inner_->page_provider(); }
-  bool wants_tx_hints() const override { return inner_->wants_tx_hints(); }
-  void tx_begin_hint(int tid) override { inner_->tx_begin_hint(tid); }
-  void tx_commit_hint(int tid) override { inner_->tx_commit_hint(tid); }
-  void tx_abort_hint(int tid) override { inner_->tx_abort_hint(tid); }
-  void on_quiescence(bool serial) override { inner_->on_quiescence(serial); }
-  Allocator* inner_allocator() override { return inner_.get(); }
 
-  Allocator& inner() { return *inner_; }
   AllocationProfile profile() const;  // aggregates per-thread counters
   void reset_profile();
 
@@ -103,7 +89,6 @@ class InstrumentingAllocator final : public Allocator {
     std::uint64_t bytes[kNumRegions] = {};
   };
 
-  std::unique_ptr<Allocator> inner_;
   std::array<Padded<Counters>, kMaxThreads> counters_{};
 };
 

@@ -10,9 +10,9 @@
 // of forwarded, so a reported bug does not additionally corrupt the real
 // heap and a deliberately buggy test program still runs to completion.
 //
-// With no checker installed the wrapper forwards with one predictable
-// branch per call; build_stack only interposes it when a checker is
-// installed anyway.
+// With no checker installed, allocate and deallocate cost one predictable
+// branch each (build_stack only interposes the wrapper when a checker is
+// installed anyway); every other call is ForwardingAllocator's.
 #pragma once
 
 #include <memory>
@@ -22,10 +22,9 @@
 
 namespace tmx::check {
 
-class CheckedAllocator final : public alloc::Allocator {
+class CheckedAllocator final : public alloc::ForwardingAllocator {
  public:
-  explicit CheckedAllocator(std::unique_ptr<alloc::Allocator> inner)
-      : inner_(std::move(inner)) {}
+  using ForwardingAllocator::ForwardingAllocator;
 
   void* allocate(std::size_t size) override {
     void* p = inner_->allocate(size);
@@ -40,27 +39,6 @@ class CheckedAllocator final : public alloc::Allocator {
     if (TMX_UNLIKELY(enabled()) && !on_block_free(p)) return;
     inner_->deallocate(p);
   }
-
-  std::size_t usable_size(const void* p) const override {
-    return inner_->usable_size(p);
-  }
-  const alloc::AllocatorTraits& traits() const override {
-    return inner_->traits();
-  }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  alloc::PageProvider* page_provider() override { return inner_->page_provider(); }
-  bool wants_tx_hints() const override { return inner_->wants_tx_hints(); }
-  void tx_begin_hint(int tid) override { inner_->tx_begin_hint(tid); }
-  void tx_commit_hint(int tid) override { inner_->tx_commit_hint(tid); }
-  void tx_abort_hint(int tid) override { inner_->tx_abort_hint(tid); }
-  void on_quiescence(bool serial) override { inner_->on_quiescence(serial); }
-  alloc::Allocator* inner_allocator() override { return inner_.get(); }
-
-  alloc::Allocator& inner() { return *inner_; }
-
- private:
-  std::unique_ptr<alloc::Allocator> inner_;
 };
 
 }  // namespace tmx::check

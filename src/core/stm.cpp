@@ -9,6 +9,7 @@
 
 #include "check/check.hpp"
 #include "fault/fault.hpp"
+#include "guard/guard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "prof/prof.hpp"
@@ -156,7 +157,8 @@ void TxObjectCache::drain(alloc::Allocator& a) {
 // Tx
 // ---------------------------------------------------------------------------
 
-void Tx::begin() {
+void Tx::begin(bool hw) {
+  hw_mode_ = hw;
   stm_->tx_window_[tid_]->flag = true;
   // Epoch snapshot must precede any transactional allocation: blocks of
   // this transaction are homed to the phase current at its begin.
@@ -175,11 +177,15 @@ void Tx::begin() {
     std::fill(windex_.begin(), windex_.end(), std::uint64_t{0});
     windex_gen_ = 1;
   }
-  ++stats_.starts;
+  if (hw) {
+    ++stats_.hw_starts;
+  } else {
+    ++stats_.starts;
+  }
   // The acquire load of the global clock above synchronizes with committing
   // transactions' fetch_add: a real happens-before edge the race prong
   // mirrors.
-  if (TMX_UNLIKELY(check::enabled())) check::on_tx_begin(tid_);
+  if (TMX_UNLIKELY(check::enabled()) && !hw) check::on_tx_begin(tid_);
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_begin(tid_);
   TMX_OBS_EVENT(obs::EventKind::kTxBegin);
   sim::tick(sim::Cost::kBarrier);
@@ -289,6 +295,14 @@ std::uint64_t Tx::load_word(const void* addr) {
       continue;
     }
     read_set_.push_back(ReadEntry{l, ver});
+    // A doomed transaction can follow a stale pointer into a quarantined
+    // block and load the guard's poison: it must abort before the value is
+    // dereferenced. A live transaction whose data equals the poison word
+    // validates and reads on.
+    if (TMX_UNLIKELY(guard::quarantine_armed()) &&
+        val == guard::poison_word() && !validate()) {
+      conflict(AbortCause::kValidation);
+    }
     if (stm_->cfg_.design == StmDesign::kCommitTimeLocking) {
       // Under commit-time locking our own writes leave the stripe
       // unlocked, so read-own-write must consult the buffer here.
@@ -428,73 +442,42 @@ void Tx::commit() {
   }
   sim::tick(sim::Cost::kBarrier);
   sim::yield();
-  if (write_set_.empty()) {
-    if (TMX_UNLIKELY(check::enabled())) {
-      check::on_tx_commit(tid_, nullptr, 0, tx_allocs_.data(),
-                          tx_allocs_.size(), tx_frees_.data(),
-                          tx_frees_.size(), /*bumped_clock=*/false);
-    }
-    // Read-only transactions were validated as they went, but deferred
-    // frees still execute now (a transaction may free without writing).
-    release_deferred_frees();
-    // The hint comes after the deferred frees so a quiescent commit
-    // boundary sees their live-block decrements.
-    if (TMX_UNLIKELY(stm_->tx_hints_)) {
-      stm_->cfg_.allocator->tx_commit_hint(tid_);
-    }
-    ++stats_.commits;
-    if (TMX_UNLIKELY(irrevocable_)) ++stats_.irrevocable_commits;
-    if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
-    TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                  write_set_.size());
-    consecutive_aborts_ = 0;
-    cause_streak_ = 0;
-    stm_->tx_window_[tid_]->flag = false;
-    return;
-  }
-  if (stm_->cfg_.design == StmDesign::kCommitTimeLocking) {
-    // Acquire every written stripe now (TL2). A failure aborts; rollback
-    // releases whatever was acquired.
-    for (WriteEntry& e : write_set_) {
-      std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
-      if (is_locked(v)) {
-        if (owner_of(v) == this) continue;  // duplicate stripe
-        conflict(AbortCause::kWriteLocked,
-                 reinterpret_cast<const void*>(e.addr));
-      }
-      if (version_of(v) > end_ts_ && !extend()) {
-        conflict(AbortCause::kValidation);
-      }
-      sim::tick(sim::Cost::kAtomicRmw);
-      if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
-                                             std::memory_order_acq_rel)) {
-        conflict(AbortCause::kWriteLocked,
-                 reinterpret_cast<const void*>(e.addr));
-      }
-      e.prev = v;
-      e.acquired = true;
-      TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
-                    stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
-    }
-  }
-  sim::tick(sim::Cost::kAtomicRmw);
-  const std::uint64_t ts =
-      stm_->clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (ts > start_ts_ + 1 && !validate()) {
-    conflict(AbortCause::kValidation);
-  }
-  // Write back the buffered values (write-through already updated
-  // memory), then release the locks at version ts.
-  if (stm_->cfg_.design != StmDesign::kWriteThroughEtl) {
-    for (const WriteEntry& e : write_set_) {
-      auto* word = reinterpret_cast<std::uint64_t*>(e.addr);
-      sim::probe(word, 8, true);
-      if (e.mask == ~std::uint64_t{0}) {
-        *word = e.value;
-      } else {
-        *word = (*word & ~e.mask) | (e.value & e.mask);
+  // Read-only transactions were validated as they went: they hold no lock,
+  // bump no clock and write nothing back.
+  std::uint64_t ts = 0;
+  if (!write_set_.empty()) {
+    if (stm_->cfg_.design == StmDesign::kCommitTimeLocking) {
+      // Acquire every written stripe now (TL2). A failure aborts; rollback
+      // releases whatever was acquired.
+      for (WriteEntry& e : write_set_) {
+        std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+        if (is_locked(v)) {
+          if (owner_of(v) == this) continue;  // duplicate stripe
+          conflict(AbortCause::kWriteLocked,
+                   reinterpret_cast<const void*>(e.addr));
+        }
+        if (version_of(v) > end_ts_ && !extend()) {
+          conflict(AbortCause::kValidation);
+        }
+        sim::tick(sim::Cost::kAtomicRmw);
+        if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
+                                               std::memory_order_acq_rel)) {
+          conflict(AbortCause::kWriteLocked,
+                   reinterpret_cast<const void*>(e.addr));
+        }
+        e.prev = v;
+        e.acquired = true;
+        TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
+                      stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
       }
     }
+    sim::tick(sim::Cost::kAtomicRmw);
+    ts = stm_->clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (ts > start_ts_ + 1 && !validate()) {
+      conflict(AbortCause::kValidation);
+    }
+    // Write-through already updated memory.
+    if (stm_->cfg_.design != StmDesign::kWriteThroughEtl) write_back();
   }
   if (TMX_UNLIKELY(check::enabled())) {
     // Hand the checker the post-write-back word contents while the stripe
@@ -514,7 +497,7 @@ void Tx::commit() {
     }
     check::on_tx_commit(tid_, cw.data(), cw.size(), tx_allocs_.data(),
                         tx_allocs_.size(), tx_frees_.data(), tx_frees_.size(),
-                        /*bumped_clock=*/true);
+                        /*bumped_clock=*/!cw.empty());
   }
   for (const WriteEntry& e : write_set_) {
     if (e.acquired) {
@@ -524,22 +507,24 @@ void Tx::commit() {
                     stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
   }
-  // Deferred frees execute only now that the transaction is durable.
-  release_deferred_frees();
-  if (TMX_UNLIKELY(stm_->tx_hints_)) {
-    stm_->cfg_.allocator->tx_commit_hint(tid_);
-  }
-  ++stats_.commits;
-  if (TMX_UNLIKELY(irrevocable_)) ++stats_.irrevocable_commits;
-  if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
-  TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                write_set_.size());
-  consecutive_aborts_ = 0;
-  cause_streak_ = 0;
-  stm_->tx_window_[tid_]->flag = false;
+  finish_commit();
 }
 
-void Tx::release_deferred_frees() {
+void Tx::write_back() {
+  for (const WriteEntry& e : write_set_) {
+    auto* word = reinterpret_cast<std::uint64_t*>(e.addr);
+    sim::probe(word, 8, true);
+    if (e.mask == ~std::uint64_t{0}) {
+      *word = e.value;
+    } else {
+      *word = (*word & ~e.mask) | (e.value & e.mask);
+    }
+  }
+}
+
+void Tx::finish_commit() {
+  // Deferred frees execute only now that the transaction is durable (a
+  // read-only transaction may free without writing).
   for (void* p : tx_frees_) {
     if (stm_->cfg_.tx_alloc_cache &&
         alloc_cache_.offer(p, stm_->cfg_.allocator->usable_size(p))) {
@@ -547,6 +532,24 @@ void Tx::release_deferred_frees() {
     }
     stm_->cfg_.allocator->deallocate(p);
   }
+  // The hint comes after the deferred frees so a quiescent commit
+  // boundary sees their live-block decrements.
+  if (TMX_UNLIKELY(stm_->tx_hints_)) {
+    stm_->cfg_.allocator->tx_commit_hint(tid_);
+  }
+  if (hw_mode_) {
+    ++stats_.hw_commits;
+  } else {
+    ++stats_.commits;
+    if (TMX_UNLIKELY(irrevocable_)) ++stats_.irrevocable_commits;
+  }
+  if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
+  TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
+                write_set_.size());
+  consecutive_aborts_ = 0;
+  cause_streak_ = 0;
+  hw_mode_ = false;
+  stm_->tx_window_[tid_]->flag = false;
 }
 
 void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
@@ -556,25 +559,6 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
     for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
       *reinterpret_cast<std::uint64_t*>(it->addr) = it->value;
     }
-  }
-  // Release encounter-time locks, restoring the pre-acquisition versions.
-  for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
-    if (it->acquired) {
-      it->lock->v.store(it->prev, std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
-                    stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
-    }
-  }
-  // Transactional allocations never happened: return them.
-  if (TMX_UNLIKELY(check::enabled())) {
-    check::on_tx_abort(tid_, tx_allocs_.data(), tx_allocs_.size());
-  }
-  for (const auto& [p, size] : tx_allocs_) {
-    if (stm_->cfg_.tx_alloc_cache && alloc_cache_.offer(p, size)) continue;
-    stm_->cfg_.allocator->deallocate(p);
-  }
-  if (TMX_UNLIKELY(stm_->tx_hints_)) {
-    stm_->cfg_.allocator->tx_abort_hint(tid_);
   }
   ++stats_.aborts;
   ++stats_.aborts_by_cause[static_cast<int>(cause)];
@@ -590,13 +574,44 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
     stats_.max_consec_aborts_by_cause[static_cast<int>(cause)] =
         cause_streak_;
   }
+  ++consecutive_aborts_;
+  finish_abort(static_cast<std::uint8_t>(cause), addr);
+}
+
+// The trace event is the only reader of `traced_cause` and `addr`, and it
+// compiles away under -DTMX_TRACING=OFF.
+void Tx::finish_abort([[maybe_unused]] std::uint8_t traced_cause,
+                      [[maybe_unused]] std::uintptr_t addr) {
+  // Release encounter-time locks, restoring the pre-acquisition versions.
+  for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
+    if (it->acquired) {
+      it->lock->v.store(it->prev, std::memory_order_release);
+      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
+                    stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
+    }
+  }
+  // Transactional allocations never happened: return them. A hardware
+  // attempt hands them straight back to the allocator, never to the cache.
+  if (TMX_UNLIKELY(check::enabled()) && !hw_mode_) {
+    check::on_tx_abort(tid_, tx_allocs_.data(), tx_allocs_.size());
+  }
+  for (const auto& [p, size] : tx_allocs_) {
+    if (!hw_mode_ && stm_->cfg_.tx_alloc_cache &&
+        alloc_cache_.offer(p, size)) {
+      continue;
+    }
+    stm_->cfg_.allocator->deallocate(p);
+  }
+  if (TMX_UNLIKELY(stm_->tx_hints_)) {
+    stm_->cfg_.allocator->tx_abort_hint(tid_);
+  }
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_abort(tid_);
   TMX_OBS_EVENT(obs::EventKind::kTxAbort, addr,
                 addr != 0
                     ? stm_->ort_index(reinterpret_cast<const void*>(addr))
                     : 0,
-                static_cast<std::uint8_t>(cause));
-  ++consecutive_aborts_;
+                traced_cause);
+  hw_mode_ = false;
   stm_->tx_window_[tid_]->flag = false;
   sim::tick(sim::Cost::kBarrier);
 }
@@ -699,29 +714,6 @@ void Tx::free(void* p) {
 // Hardware path (hybrid mode): lazy TL2 with best-effort failure modes.
 // ---------------------------------------------------------------------------
 
-void Tx::begin_hw() {
-  hw_mode_ = true;
-  stm_->tx_window_[tid_]->flag = true;
-  if (TMX_UNLIKELY(stm_->tx_hints_)) {
-    stm_->cfg_.allocator->tx_begin_hint(tid_);
-  }
-  start_ts_ = end_ts_ = stm_->clock_.load(std::memory_order_acquire);
-  read_set_.clear();
-  write_set_.clear();
-  tx_allocs_.clear();
-  tx_frees_.clear();
-  write_filter_ = 0;
-  windex_count_ = 0;
-  if (++windex_gen_ == 0) {
-    std::fill(windex_.begin(), windex_.end(), std::uint64_t{0});
-    windex_gen_ = 1;
-  }
-  ++stats_.hw_starts;
-  if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_begin(tid_);
-  TMX_OBS_EVENT(obs::EventKind::kTxBegin);
-  sim::tick(sim::Cost::kBarrier);
-}
-
 std::uint64_t Tx::load_word_hw(const void* addr) {
   ++stats_.reads;
   // Hardware reads are plain loads; conflict tracking is the cache's job,
@@ -741,6 +733,11 @@ std::uint64_t Tx::load_word_hw(const void* addr) {
   read_set_.push_back(ReadEntry{l, version_of(v)});
   if (read_set_.size() > stm_->cfg_.htm.max_read_entries) {
     hw_abort(HwAbortCause::kCapacity);
+  }
+  // Zombie read of quarantined memory, as in load_word.
+  if (TMX_UNLIKELY(guard::quarantine_armed()) &&
+      mem == guard::poison_word() && !validate()) {
+    hw_abort(HwAbortCause::kConflict);
   }
   if (WriteEntry* e = find_write(reinterpret_cast<std::uintptr_t>(addr))) {
     mem = (mem & ~e->mask) | (e->value & e->mask);
@@ -776,110 +773,54 @@ void Tx::commit_hw() {
   if (backoff_rng_.uniform() < stm_->cfg_.htm.spurious_abort) {
     hw_abort(HwAbortCause::kSpurious);  // best-effort: no guarantees
   }
-  if (write_set_.empty()) {
-    // Read-only: each read was consistent with the begin snapshot.
-    release_deferred_frees();
-    if (TMX_UNLIKELY(stm_->tx_hints_)) {
-      stm_->cfg_.allocator->tx_commit_hint(tid_);
-    }
-    ++stats_.hw_commits;
-    if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
-    TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                  write_set_.size());
-    hw_mode_ = false;
-    stm_->tx_window_[tid_]->flag = false;
-    return;
-  }
-  // Acquire the written stripes (lazy TL2), validate, publish, release.
-  std::size_t acquired = 0;
-  for (WriteEntry& e : write_set_) {
-    std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
-    if (is_locked(v)) {
-      if (owner_of(v) == this) continue;  // duplicate stripe in the set
-      break;
-    }
-    if (version_of(v) > end_ts_) break;
-    sim::tick(sim::Cost::kAtomicRmw);
-    if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
-                                           std::memory_order_acq_rel)) {
-      break;
-    }
-    e.prev = v;
-    e.acquired = true;
-    TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
-                  stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
-    ++acquired;
-    (void)acquired;
-  }
-  const bool all_acquired =
-      write_set_.empty() ||
-      [&] {
-        for (const WriteEntry& e : write_set_) {
-          const std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
-          if (!is_locked(v) || owner_of(v) != this) return false;
-        }
-        return true;
-      }();
-  if (!all_acquired || !validate()) {
-    hw_abort(HwAbortCause::kConflict);  // rollback_hw releases the locks
-  }
-  const std::uint64_t ts =
-      stm_->clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  for (const WriteEntry& e : write_set_) {
-    auto* word = reinterpret_cast<std::uint64_t*>(e.addr);
-    sim::probe(word, 8, true);
-    if (e.mask == ~std::uint64_t{0}) {
-      *word = e.value;
-    } else {
-      *word = (*word & ~e.mask) | (e.value & e.mask);
-    }
-  }
-  for (const WriteEntry& e : write_set_) {
-    if (e.acquired) {
-      e.lock->v.store(make_version(ts), std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
+  // Read-only: each read was consistent with the begin snapshot. Otherwise
+  // acquire the written stripes (lazy TL2), validate, publish, release.
+  if (!write_set_.empty()) {
+    bool all_acquired = true;
+    for (WriteEntry& e : write_set_) {
+      std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+      if (is_locked(v) && owner_of(v) == this) continue;  // duplicate stripe
+      if (is_locked(v) || version_of(v) > end_ts_) {
+        all_acquired = false;
+        break;
+      }
+      sim::tick(sim::Cost::kAtomicRmw);
+      if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
+                                             std::memory_order_acq_rel)) {
+        all_acquired = false;
+        break;
+      }
+      e.prev = v;
+      e.acquired = true;
+      TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
                     stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
+    if (!all_acquired || !validate()) {
+      hw_abort(HwAbortCause::kConflict);  // rollback_hw releases the locks
+    }
+    const std::uint64_t ts =
+        stm_->clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    write_back();
+    for (const WriteEntry& e : write_set_) {
+      if (e.acquired) {
+        e.lock->v.store(make_version(ts), std::memory_order_release);
+        TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
+                      stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
+      }
+    }
   }
-  release_deferred_frees();
-  if (TMX_UNLIKELY(stm_->tx_hints_)) {
-    stm_->cfg_.allocator->tx_commit_hint(tid_);
-  }
-  ++stats_.hw_commits;
-  if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
-  TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                write_set_.size());
-  hw_mode_ = false;
-  stm_->tx_window_[tid_]->flag = false;
+  finish_commit();
 }
 
 void Tx::rollback_hw(HwAbortCause cause) {
-  for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
-    if (it->acquired) {
-      it->lock->v.store(it->prev, std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
-                    stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
-    }
-  }
-  for (const auto& [p, size] : tx_allocs_) {
-    (void)size;
-    stm_->cfg_.allocator->deallocate(p);
-  }
-  if (TMX_UNLIKELY(stm_->tx_hints_)) {
-    stm_->cfg_.allocator->tx_abort_hint(tid_);
-  }
   ++stats_.hw_aborts_by_cause[static_cast<int>(cause)];
-  if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_abort(tid_);
   // Hardware-path causes are traced offset past the five software causes
   // (5 = hw conflict, 6 = capacity, 7 = spurious, 8 = explicit) and carry
   // no faulting address, so the attribution profiler leaves them
   // unattributed rather than guessing.
-  TMX_OBS_EVENT(obs::EventKind::kTxAbort, 0, 0,
-                static_cast<std::uint8_t>(kNumAbortCauses +
-                                          static_cast<int>(cause)));
-  hw_mode_ = false;
-  stm_->tx_window_[tid_]->flag = false;
-  sim::tick(sim::Cost::kBarrier);
+  finish_abort(
+      static_cast<std::uint8_t>(kNumAbortCauses + static_cast<int>(cause)),
+      /*addr=*/0);
 }
 
 // ---------------------------------------------------------------------------

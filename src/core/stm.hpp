@@ -336,10 +336,20 @@ class Tx {
  private:
   friend class Stm;
 
-  void begin();
+  // Transaction lifecycle. Each begin/commit/abort event reaches the
+  // allocator's tx hints, tmx::check (software path only), tmx::prof and
+  // the tracer from exactly one place: begin() for both paths, the
+  // finish_commit() epilogue for every commit exit (commit() alone hands
+  // tmx::check the publication snapshot), and the finish_abort() epilogue
+  // for both rollbacks.
+  void begin(bool hw);
   void commit();
-  void release_deferred_frees();
+  void write_back();
+  void finish_commit();
   void rollback(AbortCause cause, std::uintptr_t addr = 0);
+  // `traced_cause` is the trace event's cause byte: an AbortCause, or a
+  // HwAbortCause offset by kNumAbortCauses.
+  void finish_abort(std::uint8_t traced_cause, std::uintptr_t addr);
   bool validate();
   bool extend();
   [[noreturn]] void conflict(AbortCause cause, const void* addr = nullptr) {
@@ -347,7 +357,6 @@ class Tx {
   }
 
   // Hardware path (hybrid mode).
-  void begin_hw();
   void commit_hw();
   void rollback_hw(HwAbortCause cause);
   std::uint64_t load_word_hw(const void* addr);
@@ -433,7 +442,7 @@ class Stm {
         // it never escalates).
         if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
         if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
-        tx.begin_hw();
+        tx.begin(/*hw=*/true);
         try {
           body(tx);
           tx.commit_hw();
@@ -452,7 +461,7 @@ class Stm {
       // transaction once it exceeds the consecutive-abort cap.
       if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
       if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
-      tx.begin();
+      tx.begin(/*hw=*/false);
       try {
         body(tx);
         tx.commit();

@@ -8,7 +8,7 @@
 namespace tmx::fault {
 
 FaultyAllocator::FaultyAllocator(std::unique_ptr<alloc::Allocator> inner)
-    : inner_(std::move(inner)) {}
+    : ForwardingAllocator(std::move(inner)) {}
 
 FaultyAllocator::~FaultyAllocator() {
   // Nothing may stay parked past the wrapper's lifetime.

@@ -15,7 +15,8 @@
 //    Parked blocks are force-flushed on destruction, so nothing leaks.
 //
 // The wrapper is intended for runs with a plan installed; with the plane
-// idle it forwards with a single predictable branch per call.
+// idle, allocate and deallocate cost one predictable branch each. Every
+// other call is ForwardingAllocator's.
 #pragma once
 
 #include <cstdint>
@@ -28,30 +29,13 @@
 
 namespace tmx::fault {
 
-class FaultyAllocator final : public alloc::Allocator {
+class FaultyAllocator final : public alloc::ForwardingAllocator {
  public:
   explicit FaultyAllocator(std::unique_ptr<alloc::Allocator> inner);
   ~FaultyAllocator() override;
 
   void* allocate(std::size_t size) override;
   void deallocate(void* p) override;
-  std::size_t usable_size(const void* p) const override {
-    return inner_->usable_size(p);
-  }
-  const alloc::AllocatorTraits& traits() const override {
-    return inner_->traits();
-  }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  alloc::PageProvider* page_provider() override { return inner_->page_provider(); }
-  bool wants_tx_hints() const override { return inner_->wants_tx_hints(); }
-  void tx_begin_hint(int tid) override { inner_->tx_begin_hint(tid); }
-  void tx_commit_hint(int tid) override { inner_->tx_commit_hint(tid); }
-  void tx_abort_hint(int tid) override { inner_->tx_abort_hint(tid); }
-  void on_quiescence(bool serial) override { inner_->on_quiescence(serial); }
-  alloc::Allocator* inner_allocator() override { return inner_.get(); }
-
-  alloc::Allocator& inner() { return *inner_; }
 
   // Injection counters for this wrapper instance.
   std::uint64_t injected_oom() const;
@@ -72,7 +56,6 @@ class FaultyAllocator final : public alloc::Allocator {
   // has passed.
   void flush_due(ThreadQueue& q);
 
-  std::unique_ptr<alloc::Allocator> inner_;
   std::array<Padded<ThreadQueue>, kMaxThreads> queues_{};
 };
 

@@ -17,6 +17,8 @@ namespace tmx::guard {
 namespace detail {
 
 bool g_enabled = false;
+bool g_quarantine_armed = false;
+std::uint64_t g_poison_word = 0;
 
 namespace {
 
@@ -104,10 +106,13 @@ void install(const GuardConfig& cfg) {
   s->cfg = cfg;
   detail::state_holder() = std::move(s);
   detail::g_enabled = true;
+  detail::g_quarantine_armed = cfg.quarantine_epochs >= 1;
+  detail::g_poison_word = 0x0101010101010101ull * cfg.poison;
 }
 
 void clear() {
   detail::g_enabled = false;
+  detail::g_quarantine_armed = false;
   detail::state_holder() = nullptr;
 }
 

@@ -25,7 +25,12 @@
 //    benign stale read. Quarantined memory stays mapped and poisoned until
 //    no speculating reader can exist; reads never alter the poison, so
 //    zombie reads raise no finding, while a *write* into quarantined memory
-//    (early reuse, use-after-free store) is caught at release.
+//    (early reuse, use-after-free store) is caught at release. A zombie
+//    read is not harmless by itself, though: the doomed transaction gets
+//    the poison word back, and following it as a pointer faults (Intruder's
+//    red-black tree did exactly that). So while the quarantine is armed,
+//    the STM read barriers revalidate whenever they load the poison word
+//    and abort the reader if its snapshot no longer holds.
 //
 //  * Containment — a block whose tag or canary fails verification is never
 //    forwarded to the model: the guard restores the tag bytes from its
@@ -122,9 +127,18 @@ struct GuardStats {
 namespace detail {
 // The one-branch guard the harness wrapping decision reads.
 extern bool g_enabled;
+// Set by install() only when the quarantine is armed (quarantine_epochs
+// >= 1), so detect-only runs never compare a read against the poison.
+extern bool g_quarantine_armed;
+extern std::uint64_t g_poison_word;
 }  // namespace detail
 
 inline bool enabled() { return detail::g_enabled; }
+
+// The STM read barriers test these on every transactional load: a loaded
+// word equal to poison_word() may be a zombie read of quarantined memory.
+inline bool quarantine_armed() { return detail::g_quarantine_armed; }
+inline std::uint64_t poison_word() { return detail::g_poison_word; }
 
 // Installs the guard process-wide and resets findings/stats. Not
 // thread-safe: install before run_parallel, like fault and check. Only

@@ -27,7 +27,7 @@ std::uint8_t canary_byte(std::uintptr_t addr, std::size_t i) {
 }  // namespace
 
 GuardedAllocator::GuardedAllocator(std::unique_ptr<alloc::Allocator> inner)
-    : inner_(std::move(inner)) {}
+    : ForwardingAllocator(std::move(inner)) {}
 
 GuardedAllocator::~GuardedAllocator() {
   // Final sweep: blocks the application never freed still get their canary

@@ -26,7 +26,7 @@
 
 namespace tmx::guard {
 
-class GuardedAllocator final : public alloc::Allocator {
+class GuardedAllocator final : public alloc::ForwardingAllocator {
  public:
   explicit GuardedAllocator(std::unique_ptr<alloc::Allocator> inner);
   ~GuardedAllocator() override;
@@ -39,15 +39,6 @@ class GuardedAllocator final : public alloc::Allocator {
   // block's tag and canary (the "verified on usable_size" contract).
   std::size_t usable_size(const void* p) const override;
 
-  const alloc::AllocatorTraits& traits() const override {
-    return inner_->traits();
-  }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  alloc::PageProvider* page_provider() override {
-    return inner_->page_provider();
-  }
-
   // The guard always wants hints: commit boundaries with zero in-flight
   // transactions drive the quarantine epoch. The hint bodies are host-only
   // (no tick/yield), so hint delivery alone never perturbs the schedule.
@@ -56,9 +47,6 @@ class GuardedAllocator final : public alloc::Allocator {
   void tx_commit_hint(int tid) override;
   void tx_abort_hint(int tid) override;
   void on_quiescence(bool serial) override;
-
-  alloc::Allocator* inner_allocator() override { return inner_.get(); }
-  alloc::Allocator& inner() { return *inner_; }
 
   // Introspection for tests and harness reporting.
   std::size_t quarantine_blocks() const { return quarantine_.size(); }
@@ -101,7 +89,6 @@ class GuardedAllocator final : public alloc::Allocator {
   // the poison — and the tag — of each block first.
   void release_ready(bool all);
 
-  std::unique_ptr<alloc::Allocator> inner_;
   mutable std::unordered_map<const void*, Record> table_;
   std::deque<QEntry> quarantine_;
   std::size_t quarantine_bytes_ = 0;

@@ -8,8 +8,8 @@
 //
 // The wrapper itself never ticks: latency is the difference of two
 // sim::now_cycles() reads around the inner call, which advances time on its
-// own. With the prof plane idle the wrapper forwards with one predictable
-// branch per call.
+// own. With the prof plane idle, allocate and deallocate cost one
+// predictable branch each; every other call is ForwardingAllocator's.
 #pragma once
 
 #include <memory>
@@ -21,10 +21,9 @@
 
 namespace tmx::prof {
 
-class ProfilingAllocator final : public alloc::Allocator {
+class ProfilingAllocator final : public alloc::ForwardingAllocator {
  public:
-  explicit ProfilingAllocator(std::unique_ptr<alloc::Allocator> inner)
-      : inner_(std::move(inner)) {}
+  using ForwardingAllocator::ForwardingAllocator;
 
   void* allocate(std::size_t size) override {
     if (TMX_UNLIKELY(enabled())) {
@@ -47,27 +46,6 @@ class ProfilingAllocator final : public alloc::Allocator {
     }
     inner_->deallocate(p);
   }
-
-  std::size_t usable_size(const void* p) const override {
-    return inner_->usable_size(p);
-  }
-  const alloc::AllocatorTraits& traits() const override {
-    return inner_->traits();
-  }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  alloc::PageProvider* page_provider() override { return inner_->page_provider(); }
-  bool wants_tx_hints() const override { return inner_->wants_tx_hints(); }
-  void tx_begin_hint(int tid) override { inner_->tx_begin_hint(tid); }
-  void tx_commit_hint(int tid) override { inner_->tx_commit_hint(tid); }
-  void tx_abort_hint(int tid) override { inner_->tx_abort_hint(tid); }
-  void on_quiescence(bool serial) override { inner_->on_quiescence(serial); }
-  alloc::Allocator* inner_allocator() override { return inner_.get(); }
-
-  alloc::Allocator& inner() { return *inner_; }
-
- private:
-  std::unique_ptr<alloc::Allocator> inner_;
 };
 
 }  // namespace tmx::prof

@@ -1,7 +1,8 @@
 // tmx::guard — heap-integrity hardening: positive controls for every
 // corruption-injection site (with attribution), the zombie-read negative
-// control, the zero-perturbation golden-constant contract, quarantine drain
-// at Stm::maintenance_quiescence, and the watchdog x serial-irrevocable
+// control and its Intruder regression, the zero-perturbation
+// golden-constant contract, quarantine drain at
+// Stm::maintenance_quiescence, and the watchdog x serial-irrevocable
 // interplay (an escalated transaction that blows its cycle budget must
 // still flush diagnostics and exit 3).
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "harness/setbench.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "stamp/app.hpp"
 
 namespace tmx::guard {
 namespace {
@@ -213,6 +215,24 @@ TEST_F(GuardFixture, ZombieReadOfQuarantinedMemoryRaisesNoFinding) {
   ga->on_quiescence(false);
   EXPECT_EQ(count(FindingKind::kPoisonWrite), 1u);
   EXPECT_EQ(corruptions(), 1u);
+}
+
+// A zombie read is harmless only while its value is not followed: a doomed
+// transaction in Intruder's red-black tree used to load the poison word of
+// a quarantined node and dereference it as a pointer, killing the process.
+// The read barriers now revalidate on a poison load and abort the zombie.
+TEST_F(GuardFixture, ZombieNeverFollowsPoisonAsPointer) {
+  install(GuardConfig{});  // default quarantine
+  stamp::StampRun run;
+  run.app = "intruder";
+  run.allocator = "glibc";
+  run.threads = 8;
+  run.seed = 7;
+  run.cache_model = false;
+  const stamp::StampOutcome out = stamp::run_stamp(run);
+  EXPECT_TRUE(out.result.verified) << out.result.detail;
+  EXPECT_EQ(corruptions(), 0u);
+  EXPECT_GT(stats().quarantined, 0u);
 }
 
 // ---- Quarantine drains fully at Stm::maintenance_quiescence ----

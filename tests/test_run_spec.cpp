@@ -12,6 +12,7 @@
 #include "guard/guard.hpp"
 #include "guard/guard_alloc.hpp"
 #include "obs/tracer.hpp"
+#include "phase/phase.hpp"
 #include "prof/prof.hpp"
 #include "prof/prof_alloc.hpp"
 
@@ -59,6 +60,42 @@ TEST(BuildStack, EveryLayerInOrder) {
   check::clear();
   EXPECT_FALSE(check::enabled() || guard::enabled() || fault::enabled() ||
                prof::enabled());
+}
+
+// Every shell forwards the queries and the hint opt-in it does not
+// override, so the top of a fully decorated stack answers like the model.
+TEST(BuildStack, TopForwardsEveryQueryToTheModel) {
+  check::install(check::CheckConfig{});
+  guard::install(guard::GuardConfig{});
+  fault::install(fault::FaultPlan{});
+  {
+    const AllocatorStack s = build_stack("phase", /*instrument=*/true,
+                                         /*prof=*/true);
+    alloc::Allocator* top = s.top.get();
+    alloc::Allocator* model = top;
+    while (model->inner_allocator() != nullptr) {
+      model = model->inner_allocator();
+    }
+    ASSERT_NE(model, top);
+    void* p = top->allocate(64);
+    ASSERT_NE(p, nullptr);
+    EXPECT_TRUE(model->wants_tx_hints());
+    EXPECT_EQ(top->wants_tx_hints(), model->wants_tx_hints());
+    ASSERT_NE(model->page_provider(), nullptr);
+    EXPECT_EQ(top->page_provider(), model->page_provider());
+    EXPECT_GT(model->os_reserved(), 0u);
+    EXPECT_EQ(top->os_reserved(), model->os_reserved());
+    EXPECT_GT(model->live_bytes(), 0u);
+    EXPECT_EQ(top->live_bytes(), model->live_bytes());
+    EXPECT_EQ(top->traits().name, "phase");
+    EXPECT_EQ(top->traits().name, model->traits().name);
+    EXPECT_EQ(phase::as_phase(top), model);
+    top->deallocate(p);
+  }
+  prof::uninstall();
+  fault::clear();
+  guard::clear();
+  check::clear();
 }
 
 TEST(RunSpec, DefaultsMatchStmConfigDefaults) {

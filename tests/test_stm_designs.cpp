@@ -2,12 +2,17 @@
 // (best-effort HTM + STM fallback) execution mode.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.hpp"
 #include "core/stm.hpp"
 #include "harness/setbench.hpp"
+#include "obs/metrics.hpp"
+#include "prof/prof.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -312,6 +317,136 @@ TEST_F(HybridFixture, RestartInsideHardwareFallsThrough) {
   EXPECT_EQ(st.commits, 1u);
   EXPECT_EQ(attempts, 5);
 }
+
+// ---------------------------------------------------------------------------
+// Lifecycle events balance on every commit and abort path
+// ---------------------------------------------------------------------------
+
+// Counts the STM's transaction hints per thread.
+class HintRecorder final : public alloc::ForwardingAllocator {
+ public:
+  using ForwardingAllocator::ForwardingAllocator;
+  void* allocate(std::size_t size) override { return inner_->allocate(size); }
+  void deallocate(void* p) override { inner_->deallocate(p); }
+  bool wants_tx_hints() const override { return true; }
+  void tx_begin_hint(int tid) override { ++begins[tid]; }
+  void tx_commit_hint(int tid) override { ++commits[tid]; }
+  void tx_abort_hint(int tid) override { ++aborts[tid]; }
+
+  std::array<std::uint64_t, kMaxThreads> begins{};
+  std::array<std::uint64_t, kMaxThreads> commits{};
+  std::array<std::uint64_t, kMaxThreads> aborts{};
+};
+
+struct LifecycleCase {
+  const char* name;
+  StmDesign design = StmDesign::kWriteBackEtl;
+  bool hybrid = false;
+  unsigned retry_cap = 0;
+  bool tx_alloc_cache = false;
+};
+
+std::ostream& operator<<(std::ostream& os, const LifecycleCase& c) {
+  return os << c.name;
+}
+
+std::string lifecycle_case_name(
+    const ::testing::TestParamInfo<LifecycleCase>& info) {
+  return info.param.name;
+}
+
+class LifecycleBalance : public ::testing::TestWithParam<LifecycleCase> {};
+
+TEST_P(LifecycleBalance, EveryBeginEndsInOneCommitOrAbortEvent) {
+  const LifecycleCase& c = GetParam();
+  HintRecorder rec(alloc::create_allocator("glibc"));
+  Config cfg;
+  cfg.allocator = &rec;
+  cfg.design = c.design;
+  cfg.retry_cap = c.retry_cap;
+  cfg.tx_alloc_cache = c.tx_alloc_cache;
+  cfg.htm.enabled = c.hybrid;
+  cfg.htm.attempts = 2;
+  cfg.htm.spurious_abort = 0.3;
+  prof::ProfConfig pcfg;
+  pcfg.sample_cycles = 0;
+  prof::install(pcfg);
+  std::uint64_t prof_commits = 0;
+  std::uint64_t prof_aborts = 0;
+  TxStats total;
+  {
+    Stm stm(cfg);
+    constexpr int kThreads = 4;
+    alignas(8) std::uint64_t counters[2] = {};
+    sim::run_parallel(sim_cfg(kThreads), [&](int) {
+      void* held = nullptr;
+      for (int i = 0; i < 40; ++i) {
+        void* next = nullptr;
+        bool restarted = false;
+        stm.atomically([&](Tx& tx) {
+          // Shared counters make the threads conflict; the allocation and
+          // the free of the previous block exercise tx_allocs_/tx_frees_
+          // on every exit, and an explicit restart hits each path's
+          // explicit-abort handling.
+          std::uint64_t* ctr = &counters[i % 2];
+          tx.store(ctr, tx.load(ctr) + 1);
+          next = tx.malloc(48);
+          tx.free(held);
+          if (i % 7 == 0 && !restarted) {
+            restarted = true;
+            tx.restart();
+          }
+        });
+        held = next;
+        // A read-only transaction: the other commit exit.
+        stm.atomically([&](Tx& tx) { (void)tx.load(&counters[0]); });
+      }
+      stm.atomically([&](Tx& tx) { tx.free(held); });
+    });
+    EXPECT_EQ(counters[0] + counters[1], kThreads * 40u);
+    for (int t = 0; t < kThreads; ++t) {
+      const TxStats& st = stm.thread_stats(t);
+      EXPECT_EQ(rec.begins[t], rec.commits[t] + rec.aborts[t]) << "tid " << t;
+      EXPECT_EQ(rec.commits[t], st.commits + st.hw_commits) << "tid " << t;
+      EXPECT_EQ(rec.aborts[t], st.aborts + st.hw_aborts()) << "tid " << t;
+    }
+    total = stm.stats();
+    prof_commits = prof::op_count(prof::Op::kTxCommit);
+    obs::MetricsRegistry reg;
+    prof::publish_metrics(reg);
+    prof_aborts = reg.counter("prof.aborts");
+  }
+  prof::uninstall();
+  EXPECT_EQ(prof_commits, total.commits + total.hw_commits);
+  EXPECT_EQ(prof_aborts, total.aborts + total.hw_aborts());
+  // Each configuration reached the paths it is meant to cover.
+  EXPECT_GT(total.aborts, 0u);
+  if (c.hybrid) {
+    EXPECT_GT(total.hw_commits, 0u);
+    EXPECT_GT(total.hw_aborts(), 0u);
+    EXPECT_GT(total.fallbacks, 0u);
+  }
+  if (c.retry_cap != 0) {
+    EXPECT_GT(total.irrevocable_commits, 0u);
+  }
+  if (c.tx_alloc_cache) {
+    EXPECT_GT(total.alloc_cache_hits, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, LifecycleBalance,
+    ::testing::Values(
+        LifecycleCase{"WriteBackEtl"},
+        LifecycleCase{"CommitTimeLocking", StmDesign::kCommitTimeLocking},
+        LifecycleCase{"HybridWithFallback", StmDesign::kWriteBackEtl,
+                      /*hybrid=*/true},
+        LifecycleCase{"Irrevocable", StmDesign::kWriteBackEtl,
+                      /*hybrid=*/false, /*retry_cap=*/1},
+        LifecycleCase{"TxAllocCache", StmDesign::kWriteBackEtl,
+                      /*hybrid=*/false, /*retry_cap=*/0,
+                      /*tx_alloc_cache=*/true}),
+    lifecycle_case_name);
 
 }  // namespace
 }  // namespace tmx::stm
