@@ -29,6 +29,7 @@
 
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/server_mix.hpp"
 #include "obs/metrics.hpp"
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
         "on any detection mismatch.\n");
     return 0;
   }
+  harness::ObsSession obs(opt);
 
   const bool quick = opt.has("quick");
   const int rounds =
@@ -166,11 +168,7 @@ int main(int argc, char** argv) {
   std::printf("\nchaos_soak: %d/%d rounds clean, %" PRIu64 " corruptions "
               "injected, %" PRIu64 " detected\n",
               rounds - mismatches, rounds, total_injected, total_detected);
-  if (!opt.metrics_out().empty() &&
-      !obs::MetricsRegistry::global().write_json(opt.metrics_out())) {
-    std::fprintf(stderr, "chaos_soak: failed to write %s\n",
-                 opt.metrics_out().c_str());
-    return 3;
-  }
+  obs.finish();
+  if (!obs.ok()) return 3;
   return mismatches == 0 ? 0 : 1;
 }

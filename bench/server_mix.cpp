@@ -18,29 +18,14 @@
 #include "check/check.hpp"
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/server_mix.hpp"
 #include "obs/metrics.hpp"
 #include "phase/phase.hpp"
-#include "prof/prof.hpp"
-
-namespace {
-
-using namespace tmx;
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size() ||
-      text.empty();
-  std::fclose(f);
-  return ok;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace tmx;
   harness::Options opt(argc, argv);
   opt.apply_phase_config();
   if (harness::handle_list_allocators(opt)) return 0;
@@ -85,7 +70,6 @@ int main(int argc, char** argv) {
   base.prof_sample_cycles = opt.prof_sample_cycles();
   base.phase_maintenance_every =
       static_cast<std::size_t>(opt.get_long("phase-maintenance-every", 0));
-  const std::string prof_out = base.prof ? opt.prof_out() : "";
 
   const bool checking = opt.check_enabled();
   if (checking) {
@@ -101,6 +85,9 @@ int main(int argc, char** argv) {
     }
     guard::install(opt.guard_config());
   }
+  // After every exit-2 check: the session's destructor writes the
+  // --metrics-out and --prof-out files, which a refused run must not leave.
+  harness::ObsSession obs(opt);
   if (opt.fault_enabled()) fault::install(opt.fault_plan());
 
   std::printf("server_mix: %d workers, %zu requests, arrival every %llu "
@@ -112,9 +99,6 @@ int main(int argc, char** argv) {
               "allocator", "req/s", "p50", "p95", "p99", "p99.9", "max",
               "abort%", "handoffs", "live_B", "rss_B", "frag");
 
-  std::string timeseries = prof::timeseries_csv_header();
-  std::string sites = prof::sites_csv_header();
-  std::string folded;
   std::uint64_t hard_findings = 0;
   std::uint64_t guard_findings = 0;
 
@@ -168,43 +152,15 @@ int main(int argc, char** argv) {
       if (guard::corruptions() > 0) guard::print_findings(stderr);
       guard::reset();
     }
-    if (base.prof) {
-      prof::publish_metrics(obs::MetricsRegistry::global(),
-                            "prof." + name + ".");
-      prof::append_timeseries_csv(timeseries, name);
-      prof::append_sites_csv(sites, name);
-      prof::append_folded(folded);
-      prof::uninstall();
-    }
+    obs.take_prof(name, "prof." + name + ".");
   }
   if (checking) check::clear();
   if (guarding) guard::clear();
 
-  int rc = hard_findings > 0 ? 4 : 0;  // dirty run, distinct from a write
-                                       // failure below (3)
-  if (guard_findings > 0) rc = guard::kExitCode;  // corruption trumps both
-  if (!prof_out.empty()) {
-    const struct {
-      const char* suffix;
-      const std::string* text;
-    } outs[] = {{".timeseries.csv", &timeseries},
-                {".sites.csv", &sites},
-                {".folded", &folded}};
-    for (const auto& o : outs) {
-      const std::string path = prof_out + o.suffix;
-      if (!write_text(path, *o.text)) {
-        std::fprintf(stderr, "server_mix: failed to write %s\n", path.c_str());
-        rc = 3;
-      } else {
-        std::fprintf(stderr, "server_mix: wrote %s\n", path.c_str());
-      }
-    }
-  }
-  if (!opt.metrics_out().empty() &&
-      !obs::MetricsRegistry::global().write_json(opt.metrics_out())) {
-    std::fprintf(stderr, "server_mix: failed to write %s\n",
-                 opt.metrics_out().c_str());
-    rc = 3;
-  }
-  return rc;
+  // finish() explicitly so a failed --metrics-out/--prof-out write exits 3
+  // (trumping a dirty run) instead of a stderr line nobody checks.
+  obs.finish();
+  if (!obs.ok()) return 3;
+  if (guard_findings > 0) return guard::kExitCode;  // corruption trumps 4
+  return hard_findings > 0 ? 4 : 0;
 }

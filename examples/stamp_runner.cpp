@@ -13,55 +13,15 @@
 #include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "obs/metrics.hpp"
-#include "replay/replayer.hpp"
 #include "sim/engine.hpp"
 #include "stamp/app.hpp"
-
-namespace {
-
-// --replay-trace: feed a recorded capture through every --alloc model and
-// print the side-by-side placement comparison instead of running an app.
-int replay_mode(const tmx::harness::Options& opt) {
-  using namespace tmx;
-  replay::Trace trace;
-  const replay::ReadStatus st =
-      replay::read_trace(opt.replay_trace(), &trace);
-  if (st != replay::ReadStatus::kOk) {
-    std::fprintf(stderr, "replay: cannot load %s: %s\n",
-                 opt.replay_trace().c_str(), replay::read_status_name(st));
-    return 2;
-  }
-  replay::ReplayConfig cfg;
-  cfg.shift = static_cast<unsigned>(opt.get_long("shift", 0));
-  cfg.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2", 0));
-  cfg.cache_model = opt.get_long("cache-model", 1) != 0;
-  cfg.strict_gaps = opt.has("strict-gaps");
-  cfg.seed = opt.seed();
-  const auto results = replay::replay_compare(trace, opt.allocators(), cfg);
-  replay::print_comparison(trace, results, stdout);
-  bool all_ok = true;
-  for (const auto& r : results) {
-    if (r.ok) {
-      replay::publish_metrics(r, obs::MetricsRegistry::global(),
-                              "replay." + r.allocator + ".");
-    } else {
-      all_ok = false;
-    }
-  }
-  if (!opt.metrics_out().empty()) {
-    obs::MetricsRegistry::global().write_json(opt.metrics_out());
-  }
-  return all_ok ? 0 : 1;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tmx;
   harness::Options opt(argc, argv);
   opt.apply_phase_config();
   if (harness::handle_list_allocators(opt)) return 0;
-  if (!opt.replay_trace().empty()) return replay_mode(opt);
+  if (!opt.replay_trace().empty()) return harness::run_replay_compare(opt);
   const std::string app = opt.get("app", "");
   if (app.empty() || opt.has("help") || !stamp::app_exists(app)) {
     std::printf("usage: stamp_runner --app NAME [options]\napps:");

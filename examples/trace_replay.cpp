@@ -19,7 +19,6 @@
 
 #include "alloc/allocator.hpp"
 #include "harness/options.hpp"
-#include "obs/metrics.hpp"
 #include "replay/replayer.hpp"
 #include "replay/synth.hpp"
 #include "replay/trace_format.hpp"
@@ -38,16 +37,6 @@ replay::SynthConfig synth_config(const harness::Options& opt) {
       static_cast<std::uint64_t>(opt.get_long("op-cycles", 120));
   sc.seed = opt.seed();
   return sc;
-}
-
-replay::ReplayConfig replay_config(const harness::Options& opt) {
-  replay::ReplayConfig cfg;
-  cfg.shift = static_cast<unsigned>(opt.get_long("shift", 0));
-  cfg.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2", 0));
-  cfg.cache_model = opt.get_long("cache-model", 1) != 0;
-  cfg.strict_gaps = opt.has("strict-gaps");
-  cfg.seed = opt.seed();
-  return cfg;
 }
 
 int inspect(const std::string& path) {
@@ -135,7 +124,7 @@ int selfcheck(const harness::Options& opt) {
     return 1;
   }
 
-  replay::ReplayConfig cfg = replay_config(opt);
+  replay::ReplayConfig cfg = harness::replay_config(opt);
   cfg.cache_model = opt.get_long("cache-model", 0) != 0;
   bool ok = true;
   for (const auto& model : alloc::allocator_names()) {
@@ -217,27 +206,5 @@ int main(int argc, char** argv) {
         "  trace_replay --list-allocators\n");
     return in.empty() && !opt.has("help") ? 2 : 0;
   }
-  replay::Trace t;
-  const replay::ReadStatus st = replay::read_trace(in, &t);
-  if (st != replay::ReadStatus::kOk) {
-    std::fprintf(stderr, "replay: cannot load %s: %s\n", in.c_str(),
-                 replay::read_status_name(st));
-    return 2;
-  }
-  const auto results =
-      replay::replay_compare(t, opt.allocators(), replay_config(opt));
-  replay::print_comparison(t, results, stdout);
-  bool all_ok = true;
-  for (const auto& r : results) {
-    if (r.ok) {
-      replay::publish_metrics(r, obs::MetricsRegistry::global(),
-                              "replay." + r.allocator + ".");
-    } else {
-      all_ok = false;
-    }
-  }
-  if (!opt.metrics_out().empty()) {
-    obs::MetricsRegistry::global().write_json(opt.metrics_out());
-  }
-  return all_ok ? 0 : 1;
+  return harness::run_replay_compare(opt);
 }

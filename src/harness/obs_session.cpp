@@ -18,7 +18,9 @@ ObsSession::ObsSession(const Options& opts)
       trace_path_(opts.trace()),
       metrics_path_(opts.metrics_out()),
       record_path_(opts.record_trace()),
-      prof_out_(opts.prof() ? opts.prof_out() : "") {
+      prof_out_(opts.prof() ? opts.prof_out() : ""),
+      prof_timeseries_(prof::timeseries_csv_header()),
+      prof_sites_(prof::sites_csv_header()) {
   const bool want_tracing =
       attribution_ || !trace_path_.empty() || !record_path_.empty();
   if (want_tracing) {
@@ -80,6 +82,17 @@ void ObsSession::report_attribution_and_clear(const std::string& label) {
   reported_per_case_ = true;
 }
 
+void ObsSession::take_prof(const std::string& label,
+                           const std::string& prefix) {
+  if (!prof::enabled()) return;
+  prof::publish_metrics(obs::MetricsRegistry::global(), prefix);
+  prof::append_timeseries_csv(prof_timeseries_, label);
+  prof::append_sites_csv(prof_sites_, label);
+  prof::append_folded(prof_folded_);
+  prof::uninstall();
+  prof_taken_ = true;
+}
+
 namespace {
 
 bool write_text(const std::string& path, const std::string& text) {
@@ -99,27 +112,17 @@ void ObsSession::finish() {
 
   // Profiler artifacts first: prof.* metrics must land in the registry
   // before the --metrics-out write below snapshots it.
-  if (prof::enabled()) {
-    prof::publish_metrics(obs::MetricsRegistry::global());
-    if (!prof_out_.empty()) {
-      const std::string& label = recorder_.meta.allocator;
-      std::string ts = prof::timeseries_csv_header();
-      prof::append_timeseries_csv(ts, label);
-      std::string sites = prof::sites_csv_header();
-      prof::append_sites_csv(sites, label);
-      std::string folded;
-      prof::append_folded(folded);
-      if (write_text(prof_out_ + ".timeseries.csv", ts) &&
-          write_text(prof_out_ + ".sites.csv", sites) &&
-          write_text(prof_out_ + ".folded", folded)) {
-        std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
-                     prof_out_.c_str());
-      } else {
-        std::fprintf(stderr, "prof: failed to write %s.*\n", prof_out_.c_str());
-        ok_ = false;
-      }
+  take_prof(recorder_.meta.allocator, "prof.");
+  if (prof_taken_ && !prof_out_.empty()) {
+    if (write_text(prof_out_ + ".timeseries.csv", prof_timeseries_) &&
+        write_text(prof_out_ + ".sites.csv", prof_sites_) &&
+        write_text(prof_out_ + ".folded", prof_folded_)) {
+      std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
+                   prof_out_.c_str());
+    } else {
+      std::fprintf(stderr, "prof: failed to write %s.*\n", prof_out_.c_str());
+      ok_ = false;
     }
-    prof::uninstall();
   }
 
   if (attribution_ && !reported_per_case_ && tracing_) {

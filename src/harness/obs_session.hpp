@@ -9,11 +9,12 @@
 // obs.trace.dropped metrics and surfaced in the finish() summary either
 // way.
 //
-// When --prof is active (the binary installed the tmx::prof plane),
-// finish() additionally publishes the prof.* metrics into the global
-// registry before the --metrics-out write, emits the profiler artifacts
-// (<prof-out>.timeseries.csv / .sites.csv / .folded) and uninstalls the
-// plane. The CSV label column is the allocator from set_trace_meta.
+// The session is the one writer of a run's file evidence: --metrics-out
+// and the --prof-out artifacts (<prof-out>.timeseries.csv / .sites.csv /
+// .folded) are written nowhere else. Each profiled case is handed over
+// with take_prof(); finish() takes a plane that is still installed as the
+// last case, labeled with the allocator from set_trace_meta. The prof.*
+// metrics thus land in the global registry before the --metrics-out write.
 //
 // Benches with several independent cases call report_attribution_and_clear()
 // between them to get a per-case report and a fresh trace window.
@@ -54,6 +55,13 @@ class ObsSession {
   // the final Chrome trace. No-op unless --attribution and tracing are on.
   void report_attribution_and_clear(const std::string& label);
 
+  // Hands the installed tmx::prof plane's data to the session as one case:
+  // publishes its metrics under `prefix`, appends its time-series and site
+  // rows (labeled `label`) and folded stacks to the --prof-out buffers, and
+  // uninstalls the plane so the next case starts fresh. No-op when the
+  // plane is not installed.
+  void take_prof(const std::string& label, const std::string& prefix);
+
   // Writes --trace / --metrics-out outputs and, if no per-case report was
   // requested, the whole-run attribution. Safe to call once; the destructor
   // calls it for benches that early-exit.
@@ -74,11 +82,15 @@ class ObsSession {
   bool finished_ = false;
   bool ok_ = true;
   bool reported_per_case_ = false;
+  bool prof_taken_ = false;
   int top_k_ = 8;
   std::string trace_path_;
   std::string metrics_path_;
   std::string record_path_;
   std::string prof_out_;
+  std::string prof_timeseries_;
+  std::string prof_sites_;
+  std::string prof_folded_;
   std::vector<obs::Event> collected_;
   std::uint64_t drops_by_thread_[kMaxThreads] = {};
   replay::Recorder recorder_;

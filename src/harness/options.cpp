@@ -7,6 +7,9 @@
 #include <utility>
 
 #include "alloc/allocator.hpp"
+#include "harness/obs_session.hpp"
+#include "obs/metrics.hpp"
+#include "replay/replayer.hpp"
 #include "util/env.hpp"
 #include "util/macros.hpp"
 
@@ -433,6 +436,43 @@ bool handle_list_allocators(const Options& opt) {
   if (!opt.list_allocators()) return false;
   alloc::print_registry(stdout);
   return true;
+}
+
+replay::ReplayConfig replay_config(const Options& opt) {
+  replay::ReplayConfig cfg;
+  cfg.shift = static_cast<unsigned>(opt.get_long("shift", 0));
+  cfg.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2", 0));
+  cfg.cache_model = opt.get_long("cache-model", 1) != 0;
+  cfg.strict_gaps = opt.has("strict-gaps");
+  cfg.seed = opt.seed();
+  return cfg;
+}
+
+int run_replay_compare(const Options& opt) {
+  replay::Trace trace;
+  const replay::ReadStatus st = replay::read_trace(opt.replay_trace(), &trace);
+  if (st != replay::ReadStatus::kOk) {
+    std::fprintf(stderr, "replay: cannot load %s: %s\n",
+                 opt.replay_trace().c_str(), replay::read_status_name(st));
+    return 2;
+  }
+  // Built only once the trace loaded: a refused run leaves no artifacts.
+  ObsSession obs(opt);
+  const auto results =
+      replay::replay_compare(trace, opt.allocators(), replay_config(opt));
+  replay::print_comparison(trace, results, stdout);
+  bool all_ok = true;
+  for (const auto& r : results) {
+    if (r.ok) {
+      replay::publish_metrics(r, obs::MetricsRegistry::global(),
+                              "replay." + r.allocator + ".");
+    } else {
+      all_ok = false;
+    }
+  }
+  obs.finish();
+  if (!obs.ok()) return 3;
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace tmx::harness

@@ -16,6 +16,10 @@
 #include "phase/phase.hpp"
 #include "sim/engine.hpp"
 
+namespace tmx::replay {
+struct ReplayConfig;
+}  // namespace tmx::replay
+
 namespace tmx::harness {
 
 class Options {
@@ -166,5 +170,17 @@ class Options {
 // registry as the Table 1-style listing and returns true — the caller
 // should then exit 0.
 bool handle_list_allocators(const Options& opt);
+
+// The ReplayConfig assembled from --shift and --ort-log2 (default 0: the
+// capture's geometry), --cache-model, --strict-gaps and --seed.
+replay::ReplayConfig replay_config(const Options& opt);
+
+// Shared --replay-trace handling (trace_replay, stamp_runner): feeds the
+// capture through every --alloc model, prints the side-by-side placement
+// comparison and writes the replay.<alloc>.* metrics through an
+// ObsSession. Returns the exit code: 0 clean, 1 when a replay failed, 2
+// when the trace cannot be loaded, 3 when --metrics-out (or another
+// requested artifact) could not be written.
+int run_replay_compare(const Options& opt);
 
 }  // namespace tmx::harness

@@ -1,5 +1,4 @@
-// The unified metrics registry: named counters, gauges and fixed-bucket
-// histograms with JSON export.
+// The unified metrics registry: named counters and gauges with JSON export.
 //
 // Before this layer every subsystem reported its own ad-hoc struct
 // (stm::TxStats, alloc::AllocationProfile, sim::CacheStats); the registry
@@ -12,30 +11,15 @@
 //
 // The registry is a reporting-time structure: it is not synchronized and
 // must be used from one thread at a time (the harness publishes after
-// run_parallel has joined).
+// run_parallel has joined). harness::ObsSession is the one place that
+// writes the global registry to a --metrics-out file.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace tmx::obs {
-
-// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds,
-// with an implicit final +inf bucket; counts.size() == bounds.size() + 1.
-struct Histogram {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  void observe(double x);
-  // Estimated p-th percentile (p in [0,100]) by linear interpolation within
-  // the containing bucket; the open-ended last bucket reports its lower
-  // bound. Returns 0 when empty.
-  double percentile(double p) const;
-};
 
 class MetricsRegistry {
  public:
@@ -48,37 +32,31 @@ class MetricsRegistry {
   void add_counter(const std::string& name, std::uint64_t delta);
   void set_gauge(const std::string& name, double value);
 
-  // Returns the named histogram, creating it with `bounds` on first use
-  // (later calls ignore `bounds`).
-  Histogram& histogram(const std::string& name,
-                       const std::vector<double>& bounds);
-
   std::uint64_t counter(const std::string& name) const;  // 0 when absent
   double gauge(const std::string& name) const;           // 0.0 when absent
-  const Histogram* find_histogram(const std::string& name) const;
 
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
+  bool empty() const { return counters_.empty() && gauges_.empty(); }
   void clear();
 
   // Serializes as the stable "tmx-metrics-v1" schema:
   //   {"schema":"tmx-metrics-v1",
-  //    "counters":{...},"gauges":{...},
-  //    "histograms":{name:{"bounds":[..],"counts":[..],"count":N,"sum":S}}}
-  // Keys are emitted in sorted order so output is diff-friendly.
+  //    "counters":{...},"gauges":{...},"histograms":{}}
+  // Keys are emitted in sorted order so output is diff-friendly. The
+  // "histograms" section is always empty: latency distributions are
+  // published as prof.lat.<op>.* percentile counters (prof/prof.hpp), and
+  // the section is kept so every v1 file keeps its shape.
   std::string to_json() const;
   // Writes to_json() to `path`; false on I/O failure.
   bool write_json(const std::string& path) const;
 
   // Rebuilds a registry from to_json() output (the round-trip used by
-  // tests and by trajectory tooling). Returns false on schema mismatch.
+  // tests and by trajectory tooling); the "histograms" section is not read.
+  // Returns false on schema mismatch.
   static bool from_json(const std::string& text, MetricsRegistry* out);
 
  private:
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace tmx::obs

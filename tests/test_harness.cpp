@@ -2,12 +2,21 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
+#include "harness/server_mix.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
+#include "obs/metrics.hpp"
+#include "prof/prof.hpp"
+#include "replay/synth.hpp"
+#include "replay/trace_format.hpp"
 
 namespace tmx::harness {
 namespace {
@@ -232,6 +241,134 @@ TEST(Table, CsvRoundTrip) {
   EXPECT_STREQ(buf, "1,x\n");
   std::fclose(f);
   std::remove(path.c_str());
+}
+
+// ---- ObsSession: the one writer of --metrics-out and --prof-out ----
+
+Options make_options(std::vector<std::string> args) {
+  std::string prog = "prog";
+  std::vector<char*> argv{prog.data()};
+  for (auto& a : args) argv.push_back(a.data());
+  return Options(static_cast<int>(argv.size()), argv.data());
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
+
+// A path whose parent directory does not exist, so every write fails.
+std::string unwritable_path() {
+  return ::testing::TempDir() + "/tmx_no_such_dir/m.json";
+}
+
+// Two cases handed to one session share one header per CSV, and their rows
+// follow in hand-off order (server_mix's per-allocator layout).
+TEST(ObsSession, ProfCasesShareOneHeaderInHandOffOrder) {
+  const std::string prefix = ::testing::TempDir() + "/tmx_obs_session_prof";
+  const Options opt = make_options({"--prof", "--prof-out", prefix});
+  {
+    ObsSession obs(opt);
+    for (const char* label : {"a", "b"}) {
+      ServerMixConfig cfg;
+      cfg.workers = 2;
+      cfg.requests = 32;
+      cfg.cache_model = false;
+      cfg.prof = true;
+      cfg.prof_sample_cycles = 20'000;
+      (void)run_server_mix(cfg);
+      obs.take_prof(label, std::string("prof.") + label + ".");
+      EXPECT_FALSE(prof::enabled());
+    }
+    obs.finish();
+    EXPECT_TRUE(obs.ok());
+  }
+  EXPECT_GT(obs::MetricsRegistry::global().counter("prof.a.mallocs"), 0u);
+  EXPECT_GT(obs::MetricsRegistry::global().counter("prof.b.mallocs"), 0u);
+  const std::string headers[] = {prof::timeseries_csv_header(),
+                                 prof::sites_csv_header()};
+  const char* suffixes[] = {".timeseries.csv", ".sites.csv"};
+  for (int f = 0; f < 2; ++f) {
+    const std::string path = prefix + suffixes[f];
+    const std::vector<std::string> lines = read_lines(path);
+    ASSERT_GE(lines.size(), 3u) << path;
+    EXPECT_EQ(lines[0] + "\n", headers[f]) << path;
+    // Labels of the data rows with consecutive repeats collapsed.
+    std::vector<std::string> runs;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      const std::string label = lines[i].substr(0, lines[i].find(','));
+      if (runs.empty() || runs.back() != label) runs.push_back(label);
+    }
+    EXPECT_EQ(runs, (std::vector<std::string>{"a", "b"})) << path;
+    std::remove(path.c_str());
+  }
+  const std::string folded = prefix + ".folded";
+  EXPECT_NE(read_file(folded).find("request;parse"), std::string::npos);
+  std::remove(folded.c_str());
+}
+
+TEST(ObsSession, UnwritableMetricsPathClearsOk) {
+  ObsSession obs(make_options({"--metrics-out", unwritable_path()}));
+  EXPECT_TRUE(obs.ok());
+  obs.finish();
+  EXPECT_FALSE(obs.ok());
+}
+
+// ---- run_replay_compare: the shared --replay-trace entry ----
+
+class ReplayCompare : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    replay::SynthConfig sc;
+    sc.threads = 2;
+    sc.ops_per_thread = 100;
+    sc.live_per_thread = 16;
+    ASSERT_TRUE(replay::write_trace(trace_, replay::generate_synthetic(sc)));
+  }
+  void TearDown() override {
+    std::remove(trace_.c_str());
+    std::remove(metrics_.c_str());
+  }
+
+  int run(const std::string& trace, const std::string& metrics) {
+    return run_replay_compare(make_options(
+        {"--replay-trace", trace, "--alloc", "glibc,tcmalloc",
+         "--cache-model", "0", "--metrics-out", metrics}));
+  }
+
+  const std::string trace_ =
+      ::testing::TempDir() + "/tmx_replay_compare.tmxtrc";
+  const std::string metrics_ =
+      ::testing::TempDir() + "/tmx_replay_compare.json";
+};
+
+TEST_F(ReplayCompare, MissingTraceExits2AndWritesNothing) {
+  EXPECT_EQ(run(::testing::TempDir() + "/tmx_no_such.tmxtrc", metrics_), 2);
+  EXPECT_FALSE(file_exists(metrics_));
+}
+
+TEST_F(ReplayCompare, UnwritableMetricsExits3) {
+  EXPECT_EQ(run(trace_, unwritable_path()), 3);
+}
+
+TEST_F(ReplayCompare, MetricsRoundTrip) {
+  ASSERT_EQ(run(trace_, metrics_), 0);
+  obs::MetricsRegistry back;
+  ASSERT_TRUE(obs::MetricsRegistry::from_json(read_file(metrics_), &back));
+  EXPECT_GT(back.counter("replay.glibc.mallocs"), 0u);
+  EXPECT_EQ(back.counter("replay.glibc.mallocs"),
+            back.counter("replay.tcmalloc.mallocs"));
 }
 
 }  // namespace
