@@ -50,6 +50,11 @@ int main(int argc, char** argv) {
         "on any detection mismatch.\n");
     return 0;
   }
+  if (!opt.record_trace().empty()) {  // one capture header per run
+    std::fprintf(stderr, "chaos_soak: --record-trace is not supported "
+                         "(rounds differ in allocator, seed and workers)\n");
+    return 2;
+  }
   harness::ObsSession obs(opt);
 
   const bool quick = opt.has("quick");

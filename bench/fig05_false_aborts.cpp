@@ -15,19 +15,14 @@ namespace {
 struct CaseResult {
   std::uintptr_t x, y;
   std::size_t ort_x, ort_y;
-  std::uint64_t aborts;
   tmx::stm::TxStats stats;
 };
 
-CaseResult run_case(const std::string& alloc_name, unsigned shift,
-                    int rounds) {
+CaseResult run_case(const tmx::stm::RunSpec& spec, int rounds) {
   using namespace tmx;
-  const stm::AllocatorStack stack = stm::build_stack(alloc_name);
+  const stm::AllocatorStack stack = stm::build_stack(spec.allocator);
   alloc::Allocator* const allocator = stack.top.get();
-  stm::Config cfg;
-  cfg.allocator = allocator;
-  cfg.shift = shift;
-  stm::Stm stm(cfg);
+  stm::Stm stm(spec.stm_config(allocator));
 
   // Allocate two 16-byte nodes in sequence, exactly as the list benchmark
   // main thread does (Figure 5's setup).
@@ -35,10 +30,7 @@ CaseResult run_case(const std::string& alloc_name, unsigned shift,
   auto* y = static_cast<std::uint64_t*>(allocator->allocate(16));
   *x = *y = 0;
 
-  sim::RunConfig rc;
-  rc.threads = 2;
-  rc.cache_model = false;
-  sim::run_parallel(rc, [&](int tid) {
+  sim::run_parallel(spec.run_config(), [&](int tid) {
     for (int i = 0; i < rounds; ++i) {
       if (tid == 0) {
         stm.atomically([&](stm::Tx& tx) {
@@ -60,7 +52,6 @@ CaseResult run_case(const std::string& alloc_name, unsigned shift,
   r.ort_x = stm.ort_index(x);
   r.ort_y = stm.ort_index(y);
   r.stats = stm.stats();
-  r.aborts = r.stats.aborts;
   return r;
 }
 
@@ -82,12 +73,15 @@ int main(int argc, char** argv) {
                     "aborts (reader is logically disjoint)"});
   for (const auto& name : opt.allocators()) {
     for (unsigned shift : {5u, 4u}) {
-      obs_session.set_trace_meta(name, shift, 20, opt.seed());
-      const CaseResult r = run_case(name, shift, rounds);
+      const stm::RunSpec spec{.allocator = name, .threads = 2,
+                              .cache_model = false, .seed = opt.seed(),
+                              .shift = shift};
+      obs_session.set_trace_meta(spec);
+      const CaseResult r = run_case(spec, rounds);
       t.add_row({name, std::to_string(shift),
                  std::to_string(r.y - r.x) + " B",
                  r.ort_x == r.ort_y ? "yes" : "no",
-                 std::to_string(r.aborts)});
+                 std::to_string(r.stats.aborts)});
       stm::publish_metrics(r.stats, obs::MetricsRegistry::global(),
                            "fig05." + name + ".shift" +
                                std::to_string(shift) + ".stm.");

@@ -71,6 +71,11 @@ int main(int argc, char** argv) {
   base.phase_maintenance_every =
       static_cast<std::size_t>(opt.get_long("phase-maintenance-every", 0));
 
+  // A capture's header names one allocator, so it may hold only one run.
+  if (!opt.record_trace().empty() && opt.allocators().size() != 1) {
+    std::fprintf(stderr, "server_mix: --record-trace needs one --alloc\n");
+    return 2;
+  }
   const bool checking = opt.check_enabled();
   if (checking) {
     check::install(opt.check_config(base.shift, base.ort_log2));
@@ -105,6 +110,7 @@ int main(int argc, char** argv) {
   for (const auto& name : opt.allocators()) {
     harness::ServerMixConfig cfg = base;
     cfg.allocator = name;
+    obs.set_trace_meta(cfg);
     const harness::ServerMixResult r = harness::run_server_mix(cfg);
     std::printf(
         "%-10s %10.0f %9llu %9llu %9llu %9llu %10llu %6.1f%% %9llu "

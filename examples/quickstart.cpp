@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
-#include "core/stm.hpp"
+#include "core/run_spec.hpp"
 #include "harness/options.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -36,9 +36,11 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> accounts(kAccounts, kInitial);
 
   // 4. Run transfers on the simulated multicore (or real threads with
-  //    --engine threads).
-  const auto rr = sim::run_parallel(opt.run_config(threads), [&](int tid) {
-    Rng rng(thread_seed(opt.seed(), tid));
+  //    --engine threads), as the shared flags describe the run.
+  stm::RunSpec spec = opt.run_spec();
+  spec.threads = threads;
+  const auto rr = sim::run_parallel(spec.run_config(), [&](int tid) {
+    Rng rng(thread_seed(spec.seed, tid));
     for (int i = 0; i < 500; ++i) {
       const std::size_t from = rng.below(kAccounts);
       const std::size_t to = rng.below(kAccounts);

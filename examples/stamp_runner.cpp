@@ -54,12 +54,10 @@ int main(int argc, char** argv) {
   }
 
   stamp::StampRun run;
+  static_cast<stm::RunSpec&>(run) = opt.run_spec();
   run.app = app;
   run.allocator = opt.get("alloc", "glibc");
   run.threads = opt.thread_count(8);
-  run.engine = opt.engine();
-  run.cache_model = opt.get_long("cache-model", 1) != 0;
-  run.seed = opt.seed();
   run.scale = opt.scale();
   run.shift = static_cast<unsigned>(opt.get_long("shift", 5));
   run.tx_alloc_cache = opt.get_long("txcache", 0) != 0;
@@ -70,8 +68,6 @@ int main(int argc, char** argv) {
   // storm would otherwise retry forever), so it defaults on.
   run.retry_cap = opt.stm_retry_cap(faults ? 64 : 0);
   run.tx_cycle_budget = opt.watchdog_tx_cycles();
-  run.watchdog_cycles = opt.watchdog_run_cycles();
-  run.topology = opt.topology();
   run.numa = opt.numa_options();
   run.ort_shards = opt.ort_shards();
   // Any listening tracer (--trace, --attribution, --record-trace) adds the
@@ -79,7 +75,7 @@ int main(int argc, char** argv) {
   run.instrument = opt.has("profile");
   run.prof = opt.prof();
   run.prof_sample_cycles = opt.prof_sample_cycles();
-  obs.set_trace_meta(run.allocator, run.shift, run.ort_log2, run.seed);
+  obs.set_trace_meta(run);
 
   const bool checking = opt.check_enabled();
   if (checking) {

@@ -47,7 +47,8 @@ struct GlibcModelAllocator::FreeNode {
 struct GlibcModelAllocator::Arena {
   std::uint32_t magic;
   sim::SpinLock lock;
-  Arena* next;  // circular list
+  // Circular; linked under list_lock_, walked without it (acquire loads).
+  std::atomic<Arena*> next;
   char* top;    // first byte of the unused tail
   char* end;
   bool top_prev_in_use;       // is the chunk just below `top` in use?
@@ -119,11 +120,11 @@ GlibcModelAllocator::Arena* GlibcModelAllocator::create_arena() {
 
   sim::SpinGuard g(list_lock_);
   if (arena_head_ == nullptr) {
-    a->next = a;
+    a->next.store(a, std::memory_order_release);
     arena_head_ = a;
   } else {
-    a->next = arena_head_->next;
-    arena_head_->next = a;
+    a->next.store(arena_head_->next.load(), std::memory_order_release);
+    arena_head_->next.store(a, std::memory_order_release);
   }
   arena_count_.fetch_add(1, std::memory_order_relaxed);
   return a;
@@ -135,7 +136,8 @@ GlibcModelAllocator::Arena* GlibcModelAllocator::lock_some_arena() {
   // Fast case: the thread's arena is free.
   if (preferred->lock.try_lock()) return preferred;
   // Hop around the circular list looking for any unlocked arena.
-  for (Arena* a = preferred->next; a != preferred; a = a->next) {
+  for (Arena* a = preferred->next.load(std::memory_order_acquire);
+       a != preferred; a = a->next.load(std::memory_order_acquire)) {
     if (a->lock.try_lock()) {
       *attached_[tid] = a;
       return a;

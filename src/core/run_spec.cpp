@@ -62,4 +62,15 @@ Config RunSpec::stm_config(alloc::Allocator* top) const {
   return c;
 }
 
+sim::RunConfig RunSpec::run_config() const {
+  sim::RunConfig rc;
+  rc.kind = engine;
+  rc.threads = threads;
+  rc.seed = seed;
+  rc.cache_model = cache_model;
+  rc.watchdog_cycles = watchdog_cycles;
+  rc.topology = topology;
+  return rc;
+}
+
 }  // namespace tmx::stm

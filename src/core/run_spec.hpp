@@ -4,7 +4,7 @@
 // put the same decoration stack between the STM and the allocator model —
 // the paper's results are about the model, so nothing else may differ
 // between two allocators' runs. build_stack is that stack; RunSpec is the
-// engine/STM/NUMA knob set shared by SetBenchConfig and StampRun.
+// run description behind SetBenchConfig, StampRun and ServerMixConfig.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +85,9 @@ struct RunSpec {
   // ORT shards consult the registry when they are created.
   void configure_numa() const;
   Config stm_config(alloc::Allocator* top) const;
+  // With stm_config, the only translation of a RunSpec: kind, threads,
+  // seed, cache_model, watchdog_cycles and topology; the rest is default.
+  sim::RunConfig run_config() const;
 };
 
 }  // namespace tmx::stm

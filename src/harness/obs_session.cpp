@@ -37,12 +37,11 @@ ObsSession::ObsSession(const Options& opts)
 
 ObsSession::~ObsSession() { finish(); }
 
-void ObsSession::set_trace_meta(const std::string& allocator, unsigned shift,
-                                unsigned ort_log2, std::uint64_t seed) {
-  recorder_.meta.allocator = allocator;
-  recorder_.meta.shift = shift;
-  recorder_.meta.ort_log2 = ort_log2;
-  recorder_.meta.seed = seed;
+void ObsSession::set_trace_meta(const stm::RunSpec& spec) {
+  recorder_.meta.allocator = spec.allocator;
+  recorder_.meta.shift = spec.shift;
+  recorder_.meta.ort_log2 = spec.ort_log2;
+  recorder_.meta.seed = spec.seed;
 }
 
 // Bookkeeping that must run before any tracer.clear(): clear() resets the
@@ -95,11 +94,13 @@ void ObsSession::take_prof(const std::string& label,
 
 namespace {
 
+// Writes one --prof-out file and names it on stderr if the write fails.
 bool write_text(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
+  const bool ok = f != nullptr &&
+                  std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f != nullptr) std::fclose(f);
+  if (!ok) std::fprintf(stderr, "prof: failed to write %s\n", path.c_str());
   return ok;
 }
 
@@ -114,13 +115,14 @@ void ObsSession::finish() {
   // before the --metrics-out write below snapshots it.
   take_prof(recorder_.meta.allocator, "prof.");
   if (prof_taken_ && !prof_out_.empty()) {
-    if (write_text(prof_out_ + ".timeseries.csv", prof_timeseries_) &&
-        write_text(prof_out_ + ".sites.csv", prof_sites_) &&
-        write_text(prof_out_ + ".folded", prof_folded_)) {
+    // Every file is attempted: one failed write must not cost the others.
+    const bool ts = write_text(prof_out_ + ".timeseries.csv", prof_timeseries_);
+    const bool sites = write_text(prof_out_ + ".sites.csv", prof_sites_);
+    const bool folded = write_text(prof_out_ + ".folded", prof_folded_);
+    if (ts && sites && folded) {
       std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
                    prof_out_.c_str());
     } else {
-      std::fprintf(stderr, "prof: failed to write %s.*\n", prof_out_.c_str());
       ok_ = false;
     }
   }

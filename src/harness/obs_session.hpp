@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_spec.hpp"
 #include "obs/event.hpp"
 #include "replay/recorder.hpp"
 #include "util/macros.hpp"
@@ -42,12 +43,11 @@ class ObsSession {
   bool attribution() const { return attribution_; }
   bool recording() const { return !record_path_.empty(); }
 
-  // Stamps the capture configuration into the recorded trace header so a
-  // replay knows which allocator/ORT geometry produced it. Call before
-  // finish(); the last call wins (single-configuration captures are the
-  // ones with an exact-replay guarantee — see replay/recorder.hpp).
-  void set_trace_meta(const std::string& allocator, unsigned shift,
-                      unsigned ort_log2, std::uint64_t seed);
+  // Stamps the run's allocator, ORT geometry and seed into the recorded
+  // trace header so a replay knows what produced it. Call before finish();
+  // the last call wins (single-configuration captures are the ones with an
+  // exact-replay guarantee — see replay/recorder.hpp).
+  void set_trace_meta(const stm::RunSpec& spec);
 
   // Prints the abort-attribution report for the events recorded since the
   // last call (or session start), labeled `label`, then clears the tracer
@@ -68,9 +68,9 @@ class ObsSession {
   void finish();
 
   // False once any requested artifact (--trace / --record-trace /
-  // --metrics-out) failed to persist. Binaries call finish() explicitly and
-  // propagate !ok() as a nonzero exit so a run whose evidence is missing
-  // never reports success.
+  // --metrics-out / a --prof-out file) failed to persist. Binaries call
+  // finish() explicitly and propagate !ok() as a nonzero exit so a run
+  // whose evidence is missing never reports success.
   bool ok() const { return ok_; }
 
  private:

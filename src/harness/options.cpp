@@ -334,15 +334,15 @@ alloc::NumaOptions Options::numa_options() const {
   return o;
 }
 
-sim::RunConfig Options::run_config(int nthreads) const {
-  sim::RunConfig rc;
-  rc.kind = engine();
-  rc.threads = nthreads;
-  rc.seed = seed();
-  rc.cache_model = get_long("cache-model", 1) != 0;
-  rc.watchdog_cycles = watchdog_run_cycles();
-  rc.topology = topology();
-  return rc;
+stm::RunSpec Options::run_spec() const {
+  stm::RunSpec spec;
+  spec.engine = engine();
+  spec.seed = seed();
+  spec.cache_model = get_long("cache-model", 1) != 0;
+  spec.watchdog_cycles =
+      static_cast<std::uint64_t>(get_long("watchdog-run-cycles", 0));
+  spec.topology = topology();
+  return spec;
 }
 
 void Options::print_help(const char* what) const {
@@ -449,6 +449,10 @@ replay::ReplayConfig replay_config(const Options& opt) {
 }
 
 int run_replay_compare(const Options& opt) {
+  if (!opt.record_trace().empty()) {  // it would capture the replayer
+    std::fprintf(stderr, "replay: --record-trace with --replay-trace\n");
+    return 2;
+  }
   replay::Trace trace;
   const replay::ReadStatus st = replay::read_trace(opt.replay_trace(), &trace);
   if (st != replay::ReadStatus::kOk) {

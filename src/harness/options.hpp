@@ -10,7 +10,7 @@
 
 #include "alloc/page_provider.hpp"
 #include "check/check.hpp"
-#include "core/stm.hpp"
+#include "core/run_spec.hpp"
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
 #include "phase/phase.hpp"
@@ -96,10 +96,6 @@ class Options {
   std::uint64_t watchdog_tx_cycles() const {
     return static_cast<std::uint64_t>(get_long("watchdog-tx-cycles", 0));
   }
-  // --watchdog-run-cycles N: whole-run virtual-cycle budget (0 = off)
-  std::uint64_t watchdog_run_cycles() const {
-    return static_cast<std::uint64_t>(get_long("watchdog-run-cycles", 0));
-  }
   // --cm suicide|backoff: contention manager for every transactional run
   // (default suicide, the paper's baseline). Unknown values exit 2.
   stm::ContentionManager cm() const;
@@ -157,7 +153,10 @@ class Options {
     return static_cast<unsigned>(get_long("ort-shards", 0));
   }
 
-  sim::RunConfig run_config(int nthreads) const;
+  // The run from --engine, --seed, --cache-model, --watchdog-run-cycles N
+  // (whole-run cycle budget, 0 = off) and topology(); a tool sets the
+  // fields it takes other flags for (--alloc, --threads, ...) itself.
+  stm::RunSpec run_spec() const;
 
   void print_help(const char* what) const;
 
@@ -179,8 +178,8 @@ replay::ReplayConfig replay_config(const Options& opt);
 // capture through every --alloc model, prints the side-by-side placement
 // comparison and writes the replay.<alloc>.* metrics through an
 // ObsSession. Returns the exit code: 0 clean, 1 when a replay failed, 2
-// when the trace cannot be loaded, 3 when --metrics-out (or another
-// requested artifact) could not be written.
+// when the trace cannot be loaded or --record-trace is also given, 3 when
+// --metrics-out (or another requested artifact) could not be written.
 int run_replay_compare(const Options& opt);
 
 }  // namespace tmx::harness

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/run_spec.hpp"
 #include "guard/guard.hpp"
 #include "prof/prof.hpp"
 #include "sim/sync.hpp"
@@ -44,12 +43,9 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
       cfg.allocator, /*instrument=*/false, cfg.prof, cfg.prof_sample_cycles);
   alloc::Allocator* const allocator = stack.top.get();
 
-  stm::Config scfg;
-  scfg.ort_log2 = cfg.ort_log2;
-  scfg.shift = cfg.shift;
-  scfg.cm = cfg.cm;
-  scfg.tx_alloc_cache = cfg.tx_alloc_cache;
-  scfg.allocator = allocator;
+  // A named local, not a temporary: the frame layout places `served` below,
+  // and with the cache model on its address decides simulated results.
+  const stm::Config scfg = cfg.stm_config(allocator);
   stm::Stm stm(scfg);
 
   const int workers = cfg.workers > 0 ? cfg.workers : 1;
@@ -63,12 +59,8 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   std::vector<std::vector<void*>> retained(static_cast<std::size_t>(workers));
   std::atomic<std::uint64_t> handoffs{0};
 
-  sim::RunConfig rc;
-  rc.kind = cfg.engine;
+  sim::RunConfig rc = cfg.run_config();
   rc.threads = workers;
-  rc.seed = cfg.seed;
-  rc.cache_model = cfg.cache_model;
-  rc.watchdog_cycles = cfg.watchdog_cycles;
 
   const sim::RunResult rr = sim::run_parallel(rc, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);

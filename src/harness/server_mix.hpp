@@ -37,17 +37,16 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "core/stm.hpp"
+#include "core/run_spec.hpp"
 #include "phase/phase.hpp"
 #include "prof/hdr_histogram.hpp"
-#include "sim/engine.hpp"
 
 namespace tmx::harness {
 
-struct ServerMixConfig {
-  std::string allocator = "glibc";
+// The allocator, engine and STM knobs come from stm::RunSpec. run_server_mix
+// runs `workers` threads and does not read RunSpec::threads.
+struct ServerMixConfig : stm::RunSpec {
   int workers = 4;
   std::size_t requests = 512;           // total, striped across workers
   std::uint64_t arrival_cycles = 2000;  // open-loop inter-arrival gap
@@ -55,15 +54,6 @@ struct ServerMixConfig {
   double size_ln_sigma = 1.0;           // ln-space scale (long tail)
   std::size_t allocs_per_request = 6;   // parse-phase blocks per request
   double retain_fraction = 0.04;        // requests leaking until teardown
-  sim::EngineKind engine = sim::EngineKind::Sim;
-  bool cache_model = true;
-  std::uint64_t seed = 20150207;
-
-  unsigned ort_log2 = 20;
-  unsigned shift = 5;
-  bool tx_alloc_cache = false;
-  std::uint64_t watchdog_cycles = 0;
-  stm::ContentionManager cm = stm::ContentionManager::kSuicide;
 
   // Every N requests handled by worker 0, call Stm::maintenance_quiescence
   // — the explicit quiescent point that lets tmx::phase reclaim (and, under

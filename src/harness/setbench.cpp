@@ -116,15 +116,7 @@ SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
   // Per-thread bookkeeping for the post-run size invariant.
   std::atomic<std::int64_t> net_inserted{0};
 
-  sim::RunConfig rc;
-  rc.kind = cfg.engine;
-  rc.threads = cfg.threads;
-  rc.seed = cfg.seed;
-  rc.cache_model = cfg.cache_model;
-  rc.watchdog_cycles = cfg.watchdog_cycles;
-  rc.topology = cfg.topology;
-
-  const sim::RunResult rr = sim::run_parallel(rc, [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(cfg.run_config(), [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     Rng rng(thread_seed(cfg.seed, tid));
     bool insert_turn = true;

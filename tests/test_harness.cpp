@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/run_spec.hpp"
 #include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/server_mix.hpp"
@@ -141,9 +145,36 @@ TEST(Options, EngineSelection) {
   const char* argv[] = {"prog", "--engine", "threads"};
   Options o(3, const_cast<char**>(argv));
   EXPECT_EQ(o.engine(), sim::EngineKind::Threads);
-  const auto rc = o.run_config(3);
-  EXPECT_EQ(rc.threads, 3);
-  EXPECT_EQ(rc.kind, sim::EngineKind::Threads);
+  const stm::RunSpec spec = o.run_spec();
+  EXPECT_EQ(spec.engine, sim::EngineKind::Threads);
+  EXPECT_EQ(spec.run_config().kind, sim::EngineKind::Threads);
+}
+
+// run_spec() reads the shared engine flags and nothing a tool parses for
+// itself, so a tool that starts from it accepts no new flag.
+TEST(Options, RunSpecReadsOnlyTheSharedFlags) {
+  const char* argv[] = {"prog",
+                        "--seed", "7",
+                        "--cache-model", "0",
+                        "--watchdog-run-cycles", "900",
+                        "--numa-nodes", "2",
+                        "--numa-cores-per-node", "3",
+                        "--alloc", "hoard",
+                        "--threads", "4",
+                        "--shift", "4",
+                        "--cm", "backoff"};
+  Options o(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  const stm::RunSpec spec = o.run_spec();
+  EXPECT_EQ(spec.seed, 7u);
+  EXPECT_FALSE(spec.cache_model);
+  EXPECT_EQ(spec.watchdog_cycles, 900u);
+  EXPECT_EQ(spec.topology.nodes, 2u);
+  EXPECT_EQ(spec.topology.cores_per_node, 3u);
+  const stm::RunSpec def;
+  EXPECT_EQ(spec.allocator, def.allocator);
+  EXPECT_EQ(spec.threads, def.threads);
+  EXPECT_EQ(spec.shift, def.shift);
+  EXPECT_EQ(spec.cm, def.cm);
 }
 
 TEST(Options, DesignAndCmSelection) {
@@ -318,6 +349,58 @@ TEST(ObsSession, ProfCasesShareOneHeaderInHandOffOrder) {
   std::remove(folded.c_str());
 }
 
+// One unwritable --prof-out file costs only itself: the other two are
+// still written, and ok() reports the loss.
+TEST(ObsSession, ProfOutWritesEveryFileItCan) {
+  const std::string prefix = ::testing::TempDir() + "/tmx_obs_session_partial";
+  const std::string blocked = prefix + ".timeseries.csv";
+  ::rmdir(blocked.c_str());  // an earlier run's leftover
+  ASSERT_EQ(::mkdir(blocked.c_str(), 0700), 0);
+  {
+    ObsSession obs(make_options({"--prof", "--prof-out", prefix}));
+    ServerMixConfig cfg;
+    cfg.workers = 2;
+    cfg.requests = 16;
+    cfg.cache_model = false;
+    cfg.prof = true;
+    (void)run_server_mix(cfg);
+    obs.take_prof("a", "prof.a.");
+    obs.finish();
+    EXPECT_FALSE(obs.ok());
+  }
+  for (const char* suffix : {".sites.csv", ".folded"}) {
+    const std::string path = prefix + suffix;
+    EXPECT_FALSE(read_file(path).empty()) << path;
+    std::remove(path.c_str());
+  }
+  ::rmdir(blocked.c_str());
+}
+
+// A default ServerMixConfig describes the run the harness always ran: its
+// inherited RunSpec fields and STM configuration are the old defaults.
+TEST(ServerMixConfig, DefaultsUnchanged) {
+  const ServerMixConfig cfg;
+  EXPECT_EQ(cfg.allocator, "glibc");
+  EXPECT_EQ(cfg.engine, sim::EngineKind::Sim);
+  EXPECT_TRUE(cfg.cache_model);
+  EXPECT_EQ(cfg.seed, 20150207u);
+  EXPECT_EQ(cfg.watchdog_cycles, 0u);
+  EXPECT_EQ(cfg.workers, 4);
+  const stm::Config c = cfg.stm_config(nullptr);
+  EXPECT_EQ(c.ort_log2, 20u);
+  EXPECT_EQ(c.shift, 5u);
+  EXPECT_EQ(c.cm, stm::ContentionManager::kSuicide);
+  EXPECT_FALSE(c.tx_alloc_cache);
+  // The fields the old hand-built Config left at their defaults.
+  const stm::Config def;
+  EXPECT_EQ(c.ort_shards, def.ort_shards);
+  EXPECT_EQ(c.design, def.design);
+  EXPECT_EQ(c.htm.enabled, def.htm.enabled);
+  EXPECT_EQ(c.retry_cap, def.retry_cap);
+  EXPECT_EQ(c.tx_cycle_budget, def.tx_cycle_budget);
+  EXPECT_EQ(c.allocator, nullptr);
+}
+
 TEST(ObsSession, UnwritableMetricsPathClearsOk) {
   ObsSession obs(make_options({"--metrics-out", unwritable_path()}));
   EXPECT_TRUE(obs.ok());
@@ -356,6 +439,19 @@ class ReplayCompare : public ::testing::Test {
 TEST_F(ReplayCompare, MissingTraceExits2AndWritesNothing) {
   EXPECT_EQ(run(::testing::TempDir() + "/tmx_no_such.tmxtrc", metrics_), 2);
   EXPECT_FALSE(file_exists(metrics_));
+}
+
+// Recording a replay would capture the replayer, not a program: refused
+// before the session exists, so no capture file is left behind.
+TEST_F(ReplayCompare, RecordTraceIsRefused) {
+  const std::string capture = ::testing::TempDir() + "/tmx_replay_rec.tmxtrc";
+  std::remove(capture.c_str());
+  EXPECT_EQ(run_replay_compare(make_options(
+                {"--replay-trace", trace_, "--alloc", "glibc",
+                 "--cache-model", "0", "--record-trace", capture})),
+            2);
+  EXPECT_FALSE(file_exists(capture));
+  std::remove(capture.c_str());
 }
 
 TEST_F(ReplayCompare, UnwritableMetricsExits3) {

@@ -137,5 +137,28 @@ TEST(RunSpec, StmConfigCarriesEveryKnob) {
   EXPECT_EQ(c.tx_cycle_budget, 1000u);
 }
 
+TEST(RunSpec, RunConfigCarriesEveryField) {
+  RunSpec spec;
+  spec.engine = sim::EngineKind::Threads;
+  spec.threads = 6;
+  spec.seed = 99;
+  spec.cache_model = false;
+  spec.watchdog_cycles = 12345;
+  spec.topology.nodes = 2;
+  spec.topology.cores_per_node = 3;
+  const sim::RunConfig rc = spec.run_config();
+  EXPECT_EQ(rc.kind, sim::EngineKind::Threads);
+  EXPECT_EQ(rc.threads, 6);
+  EXPECT_EQ(rc.seed, 99u);
+  EXPECT_FALSE(rc.cache_model);
+  EXPECT_EQ(rc.watchdog_cycles, 12345u);
+  EXPECT_EQ(rc.topology.nodes, 2u);
+  EXPECT_EQ(rc.topology.cores_per_node, 3u);
+  // Fields RunSpec does not describe keep the engine's defaults.
+  const sim::RunConfig def;
+  EXPECT_EQ(rc.stack_size, def.stack_size);
+  EXPECT_EQ(rc.ghz, def.ghz);
+}
+
 }  // namespace
 }  // namespace tmx::stm
