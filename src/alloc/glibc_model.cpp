@@ -1,5 +1,6 @@
 #include "alloc/glibc_model.hpp"
 
+#include <atomic>
 #include <cstring>
 
 #include "sim/engine.hpp"
@@ -34,6 +35,23 @@ std::size_t chunk_size(const ChunkHeader* h) {
 ChunkHeader* next_chunk(ChunkHeader* h) {
   return reinterpret_cast<ChunkHeader*>(reinterpret_cast<char*>(h) +
                                         chunk_size(h));
+}
+
+// A live block's owner reads its size_flags without the arena lock
+// (usable_size, the kIsMmapped test in deallocate), while another thread,
+// under the lock, may flip the kPrevInUse bit of that same word because it
+// allocated or freed the block's predecessor. Both sides of that pair go
+// through relaxed atomic_refs; the lock already serializes the writers, so
+// a flag update is a load and a store, not a locked read-modify-write.
+std::size_t load_size_flags(const ChunkHeader* h) {
+  return std::atomic_ref<std::size_t>(const_cast<std::size_t&>(h->size_flags))
+      .load(std::memory_order_relaxed);
+}
+void set_prev_in_use(ChunkHeader* h, bool in_use) {
+  std::atomic_ref<std::size_t> flags(h->size_flags);
+  const std::size_t v = flags.load(std::memory_order_relaxed);
+  flags.store(in_use ? v | kPrevInUse : v & ~kPrevInUse,
+              std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -200,7 +218,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     if (reinterpret_cast<char*>(nx) == a->top) {
       a->top_prev_in_use = true;
     } else {
-      nx->size_flags |= kPrevInUse;
+      set_prev_in_use(nx, true);
     }
   };
   auto unlink = [&](FreeNode* n, FreeNode*& head) {
@@ -226,7 +244,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
         a->top_prev_size = rem_size;
       } else {
         after->prev_size = rem_size;
-        after->size_flags &= ~kPrevInUse;
+        set_prev_in_use(after, false);
       }
       h->size_flags = csize | (h->size_flags & kPrevInUse);
       // Insert remainder into its bin.
@@ -293,7 +311,7 @@ void GlibcModelAllocator::deallocate(void* p) {
   if (p == nullptr) return;
   note_free_bytes(usable_size(p));
   ChunkHeader* h = header_of(p);
-  if (h->size_flags & kIsMmapped) {
+  if (load_size_flags(h) & kIsMmapped) {
     // Large blocks were handed out by mmap; the pages stay with the
     // provider (virtual space only) — matching how rarely the modeled
     // workloads release >128KB blocks.
@@ -373,7 +391,7 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
   }
   // Mark free for the successor (footer + flag) and bin it.
   nx->prev_size = csize;
-  nx->size_flags &= ~kPrevInUse;
+  set_prev_in_use(nx, false);
   auto* n = static_cast<FreeNode*>(payload_of(h));
   FreeNode*& head =
       csize <= kSmallMaxChunk ? a->smallbins[small_index(csize)] : a->large;
@@ -398,7 +416,7 @@ void* GlibcModelAllocator::allocate_mmap(std::size_t request) {
 std::size_t GlibcModelAllocator::usable_size(const void* p) const {
   const ChunkHeader* h = reinterpret_cast<const ChunkHeader*>(
       static_cast<const char*>(p) - sizeof(ChunkHeader));
-  return chunk_size(h) - sizeof(ChunkHeader);
+  return (load_size_flags(h) & ~kFlagMask) - sizeof(ChunkHeader);
 }
 
 }  // namespace tmx::alloc

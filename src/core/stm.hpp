@@ -16,6 +16,8 @@
 //     thread-local object cache (the Section 6.2 optimization, Table 7).
 #pragma once
 
+#include <setjmp.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -187,22 +189,6 @@ class Tx;
 void publish_metrics(const TxStats& stats, obs::MetricsRegistry& reg,
                      const std::string& prefix = "stm.");
 
-// Control-flow signal for aborts; caught by Stm::atomically. Deliberately
-// not derived from std::exception so user catch(...) blocks inside
-// transactions are encouraged to rethrow it untouched. `addr` is the
-// faulting address when the conflict was detected at a specific barrier
-// (read/write lock collisions), 0 for validation failures and explicit
-// restarts — the abort-attribution profiler keys on it.
-struct TxAbortSignal {
-  AbortCause cause;
-  std::uintptr_t addr = 0;
-};
-
-// Hardware-path abort signal (hybrid mode only).
-struct HwAbortSignal {
-  HwAbortCause cause;
-};
-
 namespace detail {
 
 struct VLock {
@@ -324,9 +310,7 @@ class Tx {
   // Requests an abort+retry (e.g. for optimistic retry loops in apps).
   // Tallied under its own cause so application-driven restarts are never
   // mistaken for genuine validation failures.
-  [[noreturn]] void restart() {
-    throw TxAbortSignal{AbortCause::kExplicit};
-  }
+  [[noreturn]] void restart() { conflict(AbortCause::kExplicit); }
 
   int tid() const { return tid_; }
 
@@ -352,8 +336,18 @@ class Tx {
   void finish_abort(std::uint8_t traced_cause, std::uintptr_t addr);
   bool validate();
   bool extend();
+  // The one abort exit: record the cause and jump back to the checkpoint
+  // Stm::run_attempt took at the start of this attempt, which hands it to
+  // rollback()/rollback_hw(). `addr` is the faulting address when the
+  // conflict was detected at a specific barrier (read/write lock
+  // collisions), 0 for validation failures and explicit restarts; the
+  // abort-attribution profiler keys on it. A software cause raised on the
+  // hardware path (restart, OOM) rolls back as HwAbortCause::kExplicit.
   [[noreturn]] void conflict(AbortCause cause, const void* addr = nullptr) {
-    throw TxAbortSignal{cause, reinterpret_cast<std::uintptr_t>(addr)};
+    abort_cause_ = cause;
+    abort_addr_ = reinterpret_cast<std::uintptr_t>(addr);
+    hw_abort_cause_ = HwAbortCause::kExplicit;
+    _longjmp(checkpoint_, 1);
   }
 
   // Hardware path (hybrid mode).
@@ -362,7 +356,8 @@ class Tx {
   std::uint64_t load_word_hw(const void* addr);
   void store_word_hw(void* addr, std::uint64_t value, std::uint64_t mask);
   [[noreturn]] void hw_abort(HwAbortCause cause) {
-    throw HwAbortSignal{cause};
+    hw_abort_cause_ = cause;
+    _longjmp(checkpoint_, 1);
   }
 
   void read_bytes(const void* addr, void* out, std::size_t n);
@@ -406,6 +401,12 @@ class Tx {
   // serial token (see Stm::enter_serial). An irrevocable transaction runs
   // alone and cannot abort.
   bool irrevocable_ = false;
+  // The current attempt's abort checkpoint (taken by Stm::run_attempt),
+  // and the cause of the abort that jumped to it (see conflict/hw_abort).
+  jmp_buf checkpoint_;
+  std::uintptr_t abort_addr_ = 0;
+  AbortCause abort_cause_ = AbortCause::kExplicit;
+  HwAbortCause hw_abort_cause_ = HwAbortCause::kExplicit;
 };
 
 // The STM runtime: global clock + ORT + per-thread descriptors.
@@ -419,6 +420,16 @@ class Stm {
   // Runs `body` as a transaction, retrying per the contention manager until
   // it commits. The allocation-instrumentation region is set to Tx for the
   // duration. Must not be nested.
+  //
+  // An abort does not unwind: it jumps straight back to a checkpoint taken
+  // at the start of the attempt (TinySTM's sigsetjmp/siglongjmp design), so
+  // no destructor between the body and the barrier that aborted ever runs.
+  // The body contract follows: an object with a non-trivial destructor
+  // (std:: containers and strings, smart pointers, std::function, scoped
+  // guards) must not be live inside the body across a transactional access,
+  // Tx::malloc or Tx::restart. Keep such scratch state outside the body,
+  // e.g. declared per thread in the fiber function and cleared at body
+  // entry. tmx-lint's raii-in-tx rule flags violations.
   template <typename F>
   void atomically(F&& body) {
     const int tid = sim::self_tid();  // hoisted: four uses, one TLS read
@@ -443,15 +454,8 @@ class Stm {
         if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
         if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
         tx.begin(/*hw=*/true);
-        try {
-          body(tx);
-          tx.commit_hw();
-          done = true;
-        } catch (HwAbortSignal& sig) {
-          tx.rollback_hw(sig.cause);
-        } catch (TxAbortSignal&) {
-          tx.rollback_hw(HwAbortCause::kExplicit);
-        }
+        done = run_attempt</*kHw=*/true>(tx, body);
+        if (!done) tx.rollback_hw(tx.hw_abort_cause_);
       }
       if (!done) ++tx.stats_.fallbacks;
     }
@@ -462,12 +466,9 @@ class Stm {
       if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
       if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
       tx.begin(/*hw=*/false);
-      try {
-        body(tx);
-        tx.commit();
-        done = true;
-      } catch (TxAbortSignal& sig) {
-        tx.rollback(sig.cause, sig.addr);
+      done = run_attempt</*kHw=*/false>(tx, body);
+      if (!done) {
+        tx.rollback(tx.abort_cause_, tx.abort_addr_);
         if (TMX_UNLIKELY(cfg_.tx_cycle_budget != 0) &&
             sim::now_cycles() - tx_cycles0 > cfg_.tx_cycle_budget) {
           sim::watchdog_trip("transaction", cfg_.tx_cycle_budget,
@@ -538,6 +539,23 @@ class Stm {
     return &ort_[ort_index(addr)];
   }
   void contention_wait(Tx& tx);
+
+  // One attempt: take the abort checkpoint, run the body, commit. Returns
+  // false when the attempt aborted; the cause is in the descriptor. This is
+  // the only function that calls _setjmp. GCC never inlines such a
+  // function, so atomically() stays inlinable and none of its locals live
+  // across the checkpoint (nothing here is modified after it).
+  template <bool kHw, typename F>
+  static bool run_attempt(Tx& tx, F& body) {
+    if (_setjmp(tx.checkpoint_) != 0) return false;
+    body(tx);
+    if constexpr (kHw) {
+      tx.commit_hw();
+    } else {
+      tx.commit();
+    }
+    return true;
+  }
 
   // Serial-irrevocable machinery (only reachable with cfg_.retry_cap != 0).
   // serial_gate blocks the caller while another thread holds the serial

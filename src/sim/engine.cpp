@@ -364,7 +364,9 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     f->engine = &eng;
     f->core = i % cores;
     f->node = std::min(f->core / cpn, nodes - 1);
-    f->stack = std::make_unique<char[]>(stack_size);
+    // Not zero-filled: a fiber touches only the top of its stack, and the
+    // pages it never touches stay unbacked.
+    f->stack = std::make_unique_for_overwrite<char[]>(stack_size);
     init_fiber_context(f.get(), stack_size);
     eng.fibers.push_back(std::move(f));
   }

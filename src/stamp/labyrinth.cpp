@@ -99,6 +99,10 @@ AppResult run_labyrinth(const AppContext& ctx) {
   const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
     (void)tid;
     alloc::RegionScope par(alloc::Region::Par);
+    // BFS wavefronts, owned outside the transaction: an abort jumps past
+    // the destructors of the body's locals.
+    std::vector<int> frontier;
+    std::vector<int> next;
     for (;;) {
       void* item = nullptr;
       stm.atomically([&](stm::Tx& tx) {
@@ -116,6 +120,8 @@ AppResult run_labyrinth(const AppContext& ctx) {
       bool ok = false;
       stm.atomically([&](stm::Tx& tx) {
         path.clear();
+        frontier.clear();
+        next.clear();
         // Transactionally snapshot the grid into the private buffer.
         for (int c = 0; c < cells; ++c) {
           // tmx-lint: allow(naked-store) — thread-private wavefront buffer
@@ -128,8 +134,7 @@ AppResult run_labyrinth(const AppContext& ctx) {
         }
         dist[req.src] = 0;  // tmx-lint: allow(naked-store) — private buffer
         // Private BFS expansion.
-        std::vector<int> frontier{req.src};
-        std::vector<int> next;
+        frontier.push_back(req.src);
         bool reached = false;
         int nb[6];
         while (!frontier.empty() && !reached) {

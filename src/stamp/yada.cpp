@@ -155,34 +155,52 @@ Tri* locate(const A& acc, Mesh& m, Tri* start, const Pt& p, Rng& rng) {
   return nullptr;
 }
 
+// A cavity edge, oriented with the cavity interior to its left.
+struct Boundary {
+  std::uint64_t a, b;
+  Tri* outside;  // neighbor across (may be null on the hull)
+  std::uint64_t out_edge;
+};
+
+// Scratch space of one cavity carve. An abort jumps past the destructors
+// of a transaction's locals, so the body must not own these vectors: each
+// thread keeps one Carve outside its transactions and insert_point clears
+// it on entry.
+struct Carve {
+  std::vector<Tri*> cavity;
+  std::vector<Tri*> stack;
+  std::vector<Boundary> boundary;
+  std::vector<Boundary> real_boundary;
+  std::vector<Tri*> fresh;  // the new triangles, once insert_point succeeds
+};
+
 // Inserts point index `pi` into the mesh by cavity carving, starting the
-// location walk at `hint`. When `out_new` is non-null the new triangles
-// are appended to it. Returns false if the point could not be located.
+// location walk at `hint`. Returns false if the point could not be
+// located; on success the new triangles are in `carve.fresh`.
 template <typename A>
 bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
-                  std::vector<Tri*>* out_new, Rng& rng) {
+                  Carve& carve, Rng& rng) {
+  carve.cavity.clear();
+  carve.stack.clear();
+  carve.boundary.clear();
+  carve.real_boundary.clear();
+  carve.fresh.clear();
   const Pt p = m.points[pi];
   Tri* t0 = locate(acc, m, hint, p, rng);
   if (t0 == nullptr) return false;
 
   // Cavity BFS: all live triangles whose circumcircle contains p.
-  std::vector<Tri*> cavity{t0};
-  std::vector<Tri*> stack{t0};
+  carve.cavity.push_back(t0);
+  carve.stack.push_back(t0);
   auto in_cavity = [&](Tri* t) {
-    for (Tri* c : cavity) {
+    for (Tri* c : carve.cavity) {
       if (c == t) return true;
     }
     return false;
   };
-  struct Boundary {
-    std::uint64_t a, b;  // oriented edge, cavity interior to the left
-    Tri* outside;        // neighbor across (may be null on the hull)
-    std::uint64_t out_edge;
-  };
-  std::vector<Boundary> boundary;
-  while (!stack.empty()) {
-    Tri* t = stack.back();
-    stack.pop_back();
+  while (!carve.stack.empty()) {
+    Tri* t = carve.stack.back();
+    carve.stack.pop_back();
     for (int k = 0; k < 3; ++k) {
       Tri* n = acc.load(&t->nbr[k]);
       if (n != nullptr && !in_cavity(n)) {
@@ -198,8 +216,8 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
         const Pt b = m.points[w1];
         const Pt c = m.points[w2];
         if (in_circle(a, b, c, p)) {
-          cavity.push_back(n);
-          stack.push_back(n);
+          carve.cavity.push_back(n);
+          carve.stack.push_back(n);
           continue;
         }
       }
@@ -211,7 +229,7 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
             if (acc.load(&n->nbr[j]) == t) oe = static_cast<std::uint64_t>(j);
           }
         }
-        boundary.push_back(
+        carve.boundary.push_back(
             Boundary{t->v[k], t->v[(k + 1) % 3], n, oe});
       }
     }
@@ -219,16 +237,15 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
   // Note: edges between two cavity members are interior and vanish. The
   // loop above may have classified an edge as boundary before its neighbor
   // joined the cavity; filter those out now.
-  std::vector<Boundary> real_boundary;
-  for (const Boundary& e : boundary) {
+  for (const Boundary& e : carve.boundary) {
     if (e.outside == nullptr || !in_cavity(e.outside)) {
-      real_boundary.push_back(e);
+      carve.real_boundary.push_back(e);
     }
   }
 
   // Carve: mark cavity triangles dead; free them unless the work queue
   // still references them (the popper frees those).
-  for (Tri* t : cavity) {
+  for (Tri* t : carve.cavity) {
     acc.store(&t->dead, std::uint64_t{1});
     if (acc.load(&t->in_queue) == 0) {
       acc.free(t);
@@ -236,9 +253,8 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
   }
 
   // Re-triangulate: a fan of (p, a, b) triangles over the boundary.
-  std::vector<Tri*> fresh;
-  fresh.reserve(real_boundary.size());
-  for (const Boundary& e : real_boundary) {
+  carve.fresh.reserve(carve.real_boundary.size());
+  for (const Boundary& e : carve.real_boundary) {
     auto* nt = static_cast<Tri*>(acc.malloc(sizeof(Tri)));
     nt->v[0] = pi;  // immutable fields can be written raw: the triangle is
     nt->v[1] = e.a; // private until it is linked below
@@ -251,26 +267,23 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
     if (e.outside != nullptr) {
       acc.store(&e.outside->nbr[e.out_edge], nt);
     }
-    fresh.push_back(nt);
+    carve.fresh.push_back(nt);
   }
   // Link the fan internally: edge 0 of T=(p,a,b) is (p,a) and matches edge
   // 2 (b',p) of the fan triangle with b' == a.
-  for (Tri* t : fresh) {
-    for (Tri* u : fresh) {
+  for (Tri* t : carve.fresh) {
+    for (Tri* u : carve.fresh) {
       if (u->v[2] == t->v[1]) {  // u's b == t's a
         acc.store(&t->nbr[0], u);
         acc.store(&u->nbr[2], t);
       }
     }
   }
-  TMX_ASSERT(!fresh.empty());
+  TMX_ASSERT(!carve.fresh.empty());
   // Keep the mesh's live-seed pointer valid: if the carve removed the
   // current seed, repoint it at one of the new triangles.
   if (in_cavity(acc.load(&m.seed))) {
-    acc.store(&m.seed, fresh[0]);
-  }
-  if (out_new != nullptr) {
-    for (Tri* t : fresh) out_new->push_back(t);
+    acc.store(&m.seed, carve.fresh[0]);
   }
   return true;
 }
@@ -306,14 +319,14 @@ AppResult run_yada(const AppContext& ctx) {
     Rng rng(ctx.seed);
     Tri* hint = mesh.seed;
     const bool dbg = std::getenv("TMX_YADA_DEBUG") != nullptr;
+    Carve carve;
     for (int i = 0; i < P.points; ++i) {
       if (dbg && i % 50 == 0) std::fprintf(stderr, "[yada] seq insert %d\n", i);
       const Pt p{rng.uniform() * 2.0 - 1.0, rng.uniform() * 2.0 - 1.0};
       const std::uint64_t pi = mesh.add_point(p);
-      std::vector<Tri*> created;
-      const bool ok = insert_point(seq, mesh, hint, pi, &created, rng);
+      const bool ok = insert_point(seq, mesh, hint, pi, carve, rng);
       TMX_ASSERT_MSG(ok, "sequential Delaunay insertion failed");
-      hint = created.back();
+      hint = carve.fresh.back();
     }
   }
 
@@ -377,6 +390,7 @@ AppResult run_yada(const AppContext& ctx) {
   const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     Rng rng(thread_seed(ctx.seed ^ 0xda7a, tid));
+    Carve carve;
     for (;;) {
       if (insertions.load(std::memory_order_relaxed) >= P.max_insertions) {
         break;
@@ -443,12 +457,11 @@ AppResult run_yada(const AppContext& ctx) {
           // tmx-lint: allow(naked-store)
           mesh.points[pi] = cc;  // retry recomputed the circumcenter
         }
-        std::vector<Tri*> created;
-        if (!insert_point(acc, mesh, bad, pi, &created, rng)) {
+        if (!insert_point(acc, mesh, bad, pi, carve, rng)) {
           ++walk_failures;
           tx.restart();  // walk raced with a carve, or geometry defeated it
         }
-        for (Tri* t : created) {
+        for (Tri* t : carve.fresh) {
           if (is_bad(t)) {
             acc.store(&t->in_queue, std::uint64_t{1});
             work.push(acc, t);

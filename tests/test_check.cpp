@@ -175,8 +175,9 @@ TEST_F(CheckFixture, TxLeakReportedWithAllocationSite) {
   cfg.allocator = allocator.get();
   stm::Stm stm(cfg);
   sim::run_parallel(sim_config(1), [&](int) {
+    // Outside the body: an abort would jump past the guard's destructor.
+    ScopedSite site("leaky-alloc");
     stm.atomically([&](stm::Tx& tx) {
-      ScopedSite site("leaky-alloc");
       void* p = tx.malloc(48);
       static_cast<void>(p);  // dropped: neither stored anywhere nor freed
     });

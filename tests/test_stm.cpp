@@ -79,6 +79,79 @@ TEST_F(StmFixture, RestartRollsBackWrites) {
       0u);
 }
 
+// Loads *x `depth` frames below the caller, restarting at the bottom when
+// asked. The volatile local is read after the recursive call, so no level
+// is a tail call: every one is a real frame the abort must jump over.
+[[gnu::noinline]] std::uint64_t load_deep(Tx& tx, const std::uint64_t* x,
+                                          int depth, bool restart) {
+  if (depth == 0) {
+    if (restart) tx.restart();
+    return tx.load(x);
+  }
+  volatile int live = depth;
+  const std::uint64_t v = load_deep(tx, x, depth - 1, restart);
+  return v + static_cast<std::uint64_t>(live - depth);
+}
+
+// An abort raised far below the body lands on the attempt's checkpoint,
+// rolls back and retries to the right value, for an explicit restart and
+// for a genuine read_locked conflict with another fiber.
+TEST(Stm, AbortFromDeepFrameRetries) {
+  constexpr int kDepth = 128;
+  auto allocator = alloc::create_allocator("system");
+  Config cfg;
+  cfg.allocator = allocator.get();
+  {
+    Stm stm(cfg);
+    alignas(8) std::uint64_t x = 7;
+    alignas(8) std::uint64_t y = 0;
+    int attempts = 0;
+    stm.atomically([&](Tx& tx) {
+      ++attempts;
+      tx.store(&y, std::uint64_t{99});  // must not survive the restart
+      tx.store(&y, load_deep(tx, &x, kDepth, attempts == 1) + 1);
+    });
+    EXPECT_EQ(attempts, 2);
+    EXPECT_EQ(y, 8u);
+    const TxStats st = stm.stats();
+    EXPECT_EQ(st.commits, 1u);
+    EXPECT_EQ(st.aborts, 1u);
+    EXPECT_EQ(st.aborts_by_cause[static_cast<int>(AbortCause::kExplicit)],
+              1u);
+  }
+  {
+    Stm stm(cfg);
+    alignas(8) std::uint64_t x = 0;
+    alignas(8) std::uint64_t y = 0;
+    int reader_attempts = 0;
+    sim::RunConfig rc;
+    rc.threads = 2;
+    rc.cache_model = false;
+    sim::run_parallel(rc, [&](int tid) {
+      if (tid == 0) {
+        stm.atomically([&](Tx& tx) {
+          tx.store(&x, std::uint64_t{1});  // holds x's lock...
+          sim::tick(5000);                 // ...across the reader's attempts
+        });
+      } else {
+        sim::tick(1000);  // start once the writer holds the lock
+        stm.atomically([&](Tx& tx) {
+          ++reader_attempts;
+          tx.store(&y, load_deep(tx, &x, kDepth, false) + 1);
+        });
+      }
+    });
+    EXPECT_EQ(x, 1u);
+    EXPECT_EQ(y, 2u);  // the reader retried until it saw the commit
+    ASSERT_GE(reader_attempts, 2);
+    const TxStats st = stm.stats();
+    EXPECT_EQ(st.commits, 2u);
+    EXPECT_EQ(st.aborts, static_cast<std::uint64_t>(reader_attempts - 1));
+    EXPECT_EQ(st.aborts_by_cause[static_cast<int>(AbortCause::kReadLocked)],
+              st.aborts);
+  }
+}
+
 TEST_F(StmFixture, PartialWordStores) {
   struct alignas(8) S {
     std::uint32_t a;

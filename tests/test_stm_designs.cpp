@@ -318,6 +318,57 @@ TEST_F(HybridFixture, RestartInsideHardwareFallsThrough) {
   EXPECT_EQ(attempts, 5);
 }
 
+// Refuses the first `refusals` allocations, then forwards.
+class RefuseFirst final : public alloc::ForwardingAllocator {
+ public:
+  RefuseFirst(std::unique_ptr<alloc::Allocator> inner, int refusals)
+      : ForwardingAllocator(std::move(inner)), refusals_(refusals) {}
+  void* allocate(std::size_t size) override {
+    if (refusals_ > 0) {
+      --refusals_;
+      return nullptr;
+    }
+    return inner_->allocate(size);
+  }
+  void deallocate(void* p) override { inner_->deallocate(p); }
+
+ private:
+  int refusals_;
+};
+
+// A software abort cause raised on the hardware path (here Tx::malloc's
+// OOM) rolls the attempt back as HwAbortCause::kExplicit, exactly like
+// restart(); the software fallback then allocates and commits.
+TEST(HybridOom, OomInsideHardwareIsExplicitAndFallsBack) {
+  RefuseFirst refusing(alloc::create_allocator("tcmalloc"), 3);
+  Config cfg;
+  cfg.allocator = &refusing;
+  cfg.htm.enabled = true;
+  cfg.htm.attempts = 3;
+  cfg.htm.spurious_abort = 0.0;
+  Stm stm(cfg);
+  alignas(8) std::uint64_t* published = nullptr;
+  int attempts = 0;
+  stm.atomically([&](Tx& tx) {
+    ++attempts;
+    auto* p = static_cast<std::uint64_t*>(tx.malloc(32));
+    tx.store(p, std::uint64_t{5});
+    tx.store(&published, p);
+  });
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(*published, 5u);
+  const TxStats st = stm.stats();
+  EXPECT_EQ(attempts, 4);
+  EXPECT_EQ(st.hw_aborts_by_cause[static_cast<int>(HwAbortCause::kExplicit)],
+            3u);
+  EXPECT_EQ(st.hw_aborts(), 3u);
+  EXPECT_EQ(st.oom_nulls, 3u);
+  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.aborts, 0u);  // the software attempt committed first time
+  EXPECT_EQ(st.commits, 1u);
+  stm.seq_free(published);
+}
+
 // ---------------------------------------------------------------------------
 // Lifecycle events balance on every commit and abort path
 // ---------------------------------------------------------------------------

@@ -25,10 +25,13 @@
 //   atomic-in-tx    std::atomic RMW (fetch_*/exchange/compare_exchange*)
 //                   inside a transaction: the side effect escapes the
 //                   write set and replays on every retry.
-//   catch-swallow   a catch block inside a TX region with no rethrow:
-//                   aborts propagate as TxAbortSignal exceptions, so a
-//                   swallowing handler breaks rollback and retry (missing
-//                   abort-path cleanup).
+//   raii-in-tx      a local inside a TX region whose type has a
+//                   non-trivial destructor: a std:: container, string,
+//                   smart pointer, std::function or lock, or a Scoped*/
+//                   *Guard type. An abort jumps back to the attempt's
+//                   checkpoint without unwinding, so the destructor never
+//                   runs (a leak, or a lock that stays held). Keep such
+//                   state outside the body and clear it at body entry.
 //
 // Suppression: `// tmx-lint: allow(rule)` on the offending line, or an
 // allowlist file (--allowlist) of `rule path-substring` pairs. Findings are
@@ -341,6 +344,36 @@ bool is_raw_alloc_name(const std::string& s) {
   return false;
 }
 
+bool is_raii_std_name(const std::string& s) {
+  static const char* kNames[] = {
+      "vector",       "string",         "wstring",       "basic_string",
+      "deque",        "list",           "forward_list",  "map",
+      "multimap",     "set",            "multiset",      "unordered_map",
+      "unordered_set", "unordered_multimap", "unordered_multiset", "queue",
+      "priority_queue", "stack",        "unique_ptr",    "shared_ptr",
+      "weak_ptr",     "function",       "lock_guard",    "unique_lock",
+      "scoped_lock",  "shared_lock",    "stringstream",  "ostringstream",
+      "istringstream"};
+  for (const char* n : kNames) {
+    if (s == n) return true;
+  }
+  return false;
+}
+
+// Scoped* / *Guard: the repo's RAII naming convention (sim::SpinGuard,
+// prof::ScopedSite, guard::ScopedSite).
+bool is_raii_type_name(const std::string& s) {
+  const std::string kGuard = "Guard";
+  return (s.size() > 6 && s.rfind("Scoped", 0) == 0) ||
+         (s.size() > kGuard.size() &&
+          s.compare(s.size() - kGuard.size(), kGuard.size(), kGuard) == 0);
+}
+
+bool is_identifier(const std::string& s) {
+  return !s.empty() &&
+         (std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_');
+}
+
 bool is_atomic_rmw_name(const std::string& s) {
   static const char* kNames[] = {"fetch_add",
                                  "fetch_sub",
@@ -435,25 +468,47 @@ void lint_region(const std::string& file, const std::vector<Token>& toks,
                                "set and replays on every retry"});
     }
 
-    // catch-swallow: catch block with no rethrow.
-    if (t.text == "catch") {
-      std::size_t j = i;
-      while (j < reg.end && toks[j].text != "{") ++j;
-      if (j >= reg.end) continue;
-      const std::size_t close = match_brace(toks, j);
-      bool rethrows = false;
-      for (std::size_t k = j; k < close; ++k) {
-        if (toks[k].text == "throw") {
-          rethrows = true;
-          break;
+    // raii-in-tx: `[const] TYPE[<...>] name` followed by one of `; ( { = ,`,
+    // where TYPE is std::<container/string/smart pointer/function/lock> or
+    // a Scoped*/*Guard name. References, pointers, nested names and
+    // temporaries have no declarator right after the type and never match.
+    const bool std_type = t.text == "std" && next(i) == "::" &&
+                          i + 2 < reg.end &&
+                          is_raii_std_name(toks[i + 2].text);
+    if (std_type || (is_raii_type_name(t.text) && prev(i) != "struct" &&
+                     prev(i) != "class")) {
+      std::size_t j = std_type ? i + 3 : i + 1;
+      if (j < reg.end && toks[j].text == "<") {
+        int depth = 0;
+        for (; j < reg.end; ++j) {
+          const std::string& s = toks[j].text;
+          if (s == "<") ++depth;
+          if (s == ">") --depth;
+          if (s == ">>") depth -= 2;
+          if (depth <= 0) break;
+        }
+        ++j;
+      }
+      // Walk back over `const` and namespace qualifiers: a static local
+      // outlives every attempt, so skipping its destructor loses nothing.
+      std::size_t k = i;
+      while (k > reg.begin + 1 &&
+             (prev(k) == "const" || prev(k) == "::" ||
+              (toks[k].text == "::" && is_identifier(prev(k))))) {
+        --k;
+      }
+      const bool is_static = prev(k) == "static" || prev(k) == "thread_local";
+      if (j + 1 < reg.end && is_identifier(toks[j].text) && !is_static) {
+        const std::string& after = toks[j + 1].text;
+        if (after == ";" || after == "(" || after == "{" || after == "=" ||
+            after == ",") {
+          out->push_back({file, t.line, "raii-in-tx",
+                          (std_type ? "std::" + toks[i + 2].text : t.text) +
+                              " local inside a transaction: an abort skips "
+                              "its destructor (declare it outside the "
+                              "body)"});
         }
       }
-      if (!rethrows) {
-        out->push_back({file, t.line, "catch-swallow",
-                        "catch inside a transaction without rethrow "
-                        "swallows TxAbortSignal and breaks rollback"});
-      }
-      i = close;
     }
   }
 }
@@ -516,7 +571,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help") {
       std::printf("usage: tmx_lint [--allowlist FILE] [--quiet] FILE...\n"
                   "rules: raw-alloc raw-new-delete naked-store atomic-in-tx "
-                  "catch-swallow\n"
+                  "raii-in-tx\n"
                   "suppress: '// tmx-lint: allow(rule)' on the line, or an "
                   "allowlist of 'rule path-substring' pairs\n");
       return 0;
