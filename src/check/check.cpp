@@ -21,27 +21,12 @@ bool g_enabled = false;
 bool g_race = false;
 bool g_lifetime = false;
 
-namespace {
-std::unique_ptr<State>& state_holder() {
-  static std::unique_ptr<State> holder;
-  return holder;
-}
-}  // namespace
-
-State* state() { return state_holder().get(); }
+State* g_state = nullptr;
 
 // Internal setter shared by install/clear/reset below.
 static void set_state(std::unique_ptr<State> s) {
-  state_holder() = std::move(s);
-}
-
-const char* site_or(int tid, const char* fallback) {
-  State* s = state();
-  if (s != nullptr && tid >= 0 && tid < kMaxThreads &&
-      s->scoped_site[static_cast<std::size_t>(tid)] != nullptr) {
-    return s->scoped_site[static_cast<std::size_t>(tid)];
-  }
-  return fallback != nullptr ? fallback : "?";
+  delete g_state;
+  g_state = s.release();
 }
 
 std::size_t stripe_of(std::uintptr_t addr) {

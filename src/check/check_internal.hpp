@@ -15,44 +15,24 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "check/shadow.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::check::detail {
 
 // A classic dense vector clock. Threads are bounded by kMaxThreads and the
 // clock is not on the per-access hot path (per-access state uses epochs),
-// so the fixed array keeps join() branch-free and allocation-free.
+// so the fixed array keeps join() allocation-free. A join covers only the
+// first `width` components: State::vc_width, above which every clock of
+// the run is zero.
 struct VectorClock {
   std::array<std::uint64_t, kMaxThreads> c{};
 
-  void join(const VectorClock& o) {
-    for (int i = 0; i < kMaxThreads; ++i) {
+  void join(const VectorClock& o, int width) {
+    for (int i = 0; i < width; ++i) {
       if (o.c[i] > c[i]) c[i] = o.c[i];
     }
   }
-};
-
-// One recorded access to a shadow word. `clk` is the accessor's own clock
-// component at access time — the epoch (tid, clk) — so the happens-before
-// test against a later accessor u is just clk <= C_u[tid]. `mask` has bit i
-// set when byte i of the word was touched: sub-word fields written by
-// different threads (e.g. adjacent ints across a chunk boundary) never
-// alias into a false race.
-struct AccessRec {
-  std::uint64_t clk;
-  std::uint64_t cycle;    // virtual time, for the report
-  const char* site;       // attribution label (file:line or scope)
-  std::uint8_t tid;
-  std::uint8_t mask;
-  bool is_write;
-  bool is_tx;             // transactional accesses never race each other
-};
-
-// Shadow state of one 8-byte word. Bounded: at most one write record per
-// byte (a write supersedes every happened-before record on its bytes) plus
-// one read record per (thread, byte).
-struct ShadowWord {
-  std::vector<AccessRec> recs;
 };
 
 // Sense-reversing barriers are reused across phases, so a single
@@ -119,6 +99,12 @@ struct State {
   // wrapper existed" and stays quiet about unknown pointers.
   bool alloc_tracking = false;
 
+  // One past the highest thread id whose clock component ever advanced
+  // since install: every component at or above it is zero in every clock,
+  // so joins stop there. A high-water mark, not the current region's
+  // thread count — an 8-thread region's components stay live in a later
+  // 4-thread region.
+  int vc_width = 1;
   std::array<VectorClock, kMaxThreads> vc;
   // The happens-before image of the STM's global version clock: commits
   // release into it (their fetch_add), begins/extends acquire from it
@@ -126,8 +112,8 @@ struct State {
   VectorClock global_release;
   std::map<const void*, VectorClock> locks;
   std::map<const void*, BarrierState> barriers;
-  // Ordered so block recycling can range-erase stale entries.
-  std::map<std::uintptr_t, ShadowWord> shadow;
+  // Per-word race records and the freed-word filter over `tombs`.
+  ShadowMap shadow;
 
   std::map<std::uintptr_t, Block> live;
   std::map<std::uintptr_t, Tombstone> tombs;
@@ -154,12 +140,20 @@ struct State {
   std::array<const char*, kMaxThreads> scoped_site{};
 };
 
-// nullptr when no checker is installed.
-State* state();
+// The installed checker's state; nullptr when none is installed.
+extern State* g_state;
+inline State* state() { return g_state; }
 
 // Attribution label for thread `tid`: the innermost ScopedSite, or
 // `fallback`, or "?".
-const char* site_or(int tid, const char* fallback);
+inline const char* site_or(int tid, const char* fallback) {
+  const State* s = state();
+  if (s != nullptr && tid >= 0 && tid < kMaxThreads &&
+      s->scoped_site[static_cast<std::size_t>(tid)] != nullptr) {
+    return s->scoped_site[static_cast<std::size_t>(tid)];
+  }
+  return fallback != nullptr ? fallback : "?";
+}
 
 // Appends a finding: always counts, stores/emits subject to dedup and the
 // report cap, and mirrors it into the obs trace as kCheckReport.

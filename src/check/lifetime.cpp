@@ -39,6 +39,9 @@ Block* find_live(State& s, std::uintptr_t addr, std::uintptr_t* start) {
 
 const Tombstone* find_tomb(const State& s, std::uintptr_t addr,
                            std::uintptr_t* start) {
+  // The freed-word filter answers "no tombstone" without the tree walk; a
+  // set bit is only a hint and the ordered map decides.
+  if (!s.shadow.maybe_freed(addr)) return nullptr;
   auto it = s.tombs.upper_bound(addr);
   if (it == s.tombs.begin()) return nullptr;
   --it;
@@ -79,6 +82,23 @@ void report_freed_touch(State& s, ReportKind kind, int tid,
     r.detail = write ? "write to freed memory" : "read of freed memory";
   }
   emit(std::move(r));
+}
+
+// Recycled memory must not inherit its previous tenant's history: drops
+// the tombstones, race-shadow records and forwarding entries covering
+// [a, end). A forwarding entry whose source lies in the range is dead: the
+// old identity must not redirect frees of the new tenant.
+void scrub_range(State& s, std::uintptr_t a, std::uintptr_t end) {
+  auto t = s.tombs.upper_bound(a);
+  if (t != s.tombs.begin()) {
+    auto prev = std::prev(t);
+    if (prev->first + prev->second.size > a) t = prev;
+  }
+  while (t != s.tombs.end() && t->first < end) t = s.tombs.erase(t);
+  s.shadow.unmark_freed(a, end);
+  if (s.cfg.race) s.shadow.erase_records(a, end);
+  auto r = s.relocations.lower_bound(a);
+  while (r != s.relocations.end() && r->first < end) r = s.relocations.erase(r);
 }
 
 bool range_touches_tomb(const State& s, std::uintptr_t addr,
@@ -382,29 +402,7 @@ void on_block_alloc(void* p, std::size_t usable) {
   if (s == nullptr || p == nullptr) return;
   s->alloc_tracking = true;
   const auto a = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t end = a + (usable > 0 ? usable : 1);
-  // Recycled memory must not inherit its previous tenant's history: drop
-  // tombstones and race-shadow records covering the new block's range.
-  {
-    auto it = s->tombs.upper_bound(a);
-    if (it != s->tombs.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + prev->second.size > a) it = prev;
-    }
-    while (it != s->tombs.end() && it->first < end) it = s->tombs.erase(it);
-  }
-  if (s->cfg.race) {
-    auto it = s->shadow.lower_bound(round_down(a, 8));
-    while (it != s->shadow.end() && it->first < end) it = s->shadow.erase(it);
-  }
-  {
-    // Forwarding entries whose source lies in the recycled range are dead:
-    // the old identity must not redirect frees of the new tenant.
-    auto it = s->relocations.lower_bound(a);
-    while (it != s->relocations.end() && it->first < end) {
-      it = s->relocations.erase(it);
-    }
-  }
+  detail::scrub_range(*s, a, a + (usable > 0 ? usable : 1));
   Block b;
   b.size = usable > 0 ? usable : 1;
   b.site = detail::site_or(sim::self_tid(), nullptr);
@@ -435,6 +433,7 @@ bool on_block_free(void* p) {
       t.free_cycle = sim::now_cycles();
     }
     s->tombs[a] = t;
+    s->shadow.mark_freed(a, a + t.size);
     s->live.erase(it);
     return true;
   }
@@ -523,31 +522,8 @@ void on_block_relocate(void* from, void* to, std::size_t usable) {
   if (s == nullptr || from == nullptr || to == nullptr) return;
   const auto a = reinterpret_cast<std::uintptr_t>(from);
   const auto na = reinterpret_cast<std::uintptr_t>(to);
-  const auto nend = na + (usable > 0 ? usable : 1);
-  // The target range is recycled memory: scrub inherited history exactly
-  // like on_block_alloc does.
-  {
-    auto it = s->tombs.upper_bound(na);
-    if (it != s->tombs.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + prev->second.size > na) it = prev;
-    }
-    while (it != s->tombs.end() && it->first < nend) {
-      it = s->tombs.erase(it);
-    }
-  }
-  if (s->cfg.race) {
-    auto it = s->shadow.lower_bound(round_down(na, 8));
-    while (it != s->shadow.end() && it->first < nend) {
-      it = s->shadow.erase(it);
-    }
-  }
-  {
-    auto it = s->relocations.lower_bound(na);
-    while (it != s->relocations.end() && it->first < nend) {
-      it = s->relocations.erase(it);
-    }
-  }
+  // The target range is recycled memory, like a fresh allocation's.
+  detail::scrub_range(*s, na, na + (usable > 0 ? usable : 1));
   // Move the live entry, then tombstone the source range so a stale
   // pointer dereference surfaces as a use-after-free against this move.
   detail::Block b;
@@ -567,6 +543,7 @@ void on_block_relocate(void* from, void* to, std::size_t usable) {
   t.free_tid = sim::self_tid();
   t.free_cycle = sim::now_cycles();
   s->tombs[a] = t;
+  s->shadow.mark_freed(a, a + t.size);
   s->live[na] = b;
   s->relocations[a] = {na, b.size};
   // Auxiliary attributions follow the block to its new address.

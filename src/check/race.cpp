@@ -21,7 +21,6 @@
 // at least one naked access — which is precisely the transactional-
 // discipline bug the checker exists to find.
 
-#include <algorithm>
 #include <string>
 
 #include "check/check.hpp"
@@ -63,29 +62,35 @@ void report_race(State& s, int tid, std::uintptr_t addr, bool write,
 void word_access(State& s, int tid, std::uintptr_t word, std::uint8_t mask,
                  bool write, bool is_tx, const char* site) {
   const VectorClock& my = s.vc[static_cast<std::size_t>(tid)];
-  ShadowWord& sw = s.shadow[word];
-  for (const AccessRec& rec : sw.recs) {
-    if ((rec.mask & mask) == 0) continue;        // disjoint bytes
-    if (!write && !rec.is_write) continue;       // read-read never conflicts
-    if (rec.tid == tid) continue;                // program order
-    if (is_tx && rec.is_tx) continue;            // the STM serializes these
-    if (rec.clk <= my.c[rec.tid]) continue;      // happens-before
-    report_race(s, tid, word, write, is_tx, site, rec);
-  }
-  // Supersede: a write dominates every record that happens-before it on its
-  // bytes (transitivity carries their edges); a read supersedes only the
-  // thread's own earlier reads. Records already reported as racing are
-  // cleared too — the dedup in emit() keeps the noise down anyway.
-  for (AccessRec& rec : sw.recs) {
-    if ((rec.mask & mask) == 0) continue;
-    if (write || (rec.tid == tid && !rec.is_write)) {
-      rec.mask &= static_cast<std::uint8_t>(~mask);
+  ShadowPage& pg = s.shadow.page(word);
+  WordSlot& sw = pg.slot[ShadowMap::word_index(word)];
+  // One pass: test each overlapping record for a race, then apply the
+  // supersede rule to it. A write dominates every record that
+  // happens-before it on its bytes (transitivity carries their edges); a
+  // read supersedes only the thread's own earlier reads. Records reported
+  // as racing are cleared too — the dedup in emit() keeps the noise down
+  // anyway. Emptied records drop out, the survivors keeping their order.
+  std::uint16_t kept = 0;
+  for (std::uint16_t i = 0; i < sw.n; ++i) {
+    AccessRec& rec = sw.recs[i];
+    if ((rec.mask & mask) != 0) {
+      if ((write || rec.is_write) &&              // read-read never conflicts
+          rec.tid != tid &&                       // program order
+          !(is_tx && rec.is_tx) &&                // the STM serializes these
+          rec.clk > my.c[rec.tid]) {              // not happens-before
+        report_race(s, tid, word, write, is_tx, site, rec);
+      }
+      if (write || (rec.tid == tid && !rec.is_write)) {
+        rec.mask &= static_cast<std::uint8_t>(~mask);
+        if (rec.mask == 0) continue;
+      }
     }
+    if (kept != i) sw.recs[kept] = rec;
+    ++kept;
   }
-  sw.recs.erase(std::remove_if(sw.recs.begin(), sw.recs.end(),
-                               [](const AccessRec& r) { return r.mask == 0; }),
-                sw.recs.end());
-  AccessRec rec;
+  sw.n = kept;
+  if (sw.n == sw.cap) s.shadow.grow(pg, sw);
+  AccessRec& rec = sw.recs[sw.n++];
   rec.clk = my.c[static_cast<std::size_t>(tid)];
   rec.cycle = sim::now_cycles();
   rec.site = site_or(tid, site);
@@ -93,7 +98,13 @@ void word_access(State& s, int tid, std::uintptr_t word, std::uint8_t mask,
   rec.mask = mask;
   rec.is_write = write;
   rec.is_tx = is_tx;
-  sw.recs.push_back(rec);
+}
+
+// A release by thread `tid`: its own clock component advances. The only
+// place a component grows, so joins cover it from here on.
+void advance(State& s, int tid) {
+  if (tid >= s.vc_width) s.vc_width = tid + 1;
+  ++s.vc[static_cast<std::size_t>(tid)].c[static_cast<std::size_t>(tid)];
 }
 
 }  // namespace
@@ -120,15 +131,14 @@ void race_access(int tid, std::uintptr_t addr, std::size_t bytes, bool write,
 void race_acquire_global(int tid) {
   State* s = state();
   if (s == nullptr || !s->cfg.race || !s->in_parallel) return;
-  s->vc[static_cast<std::size_t>(tid)].join(s->global_release);
+  s->vc[static_cast<std::size_t>(tid)].join(s->global_release, s->vc_width);
 }
 
 void race_release_global(int tid) {
   State* s = state();
   if (s == nullptr || !s->cfg.race || !s->in_parallel) return;
-  VectorClock& my = s->vc[static_cast<std::size_t>(tid)];
-  s->global_release.join(my);
-  ++my.c[static_cast<std::size_t>(tid)];
+  s->global_release.join(s->vc[static_cast<std::size_t>(tid)], s->vc_width);
+  advance(*s, tid);
 }
 
 void race_fork(int threads) {
@@ -143,13 +153,11 @@ void race_fork(int threads) {
   // clocks start at zero, and a previous region's join equalizes them), or
   // the very first unsynchronized conflict would pass the `clk <= C_u[t]`
   // test and go unreported.
-  VectorClock& main_vc = s->vc[0];
   for (int t = 1; t < threads && t < kMaxThreads; ++t) {
-    VectorClock& w = s->vc[static_cast<std::size_t>(t)];
-    w.join(main_vc);
-    ++w.c[static_cast<std::size_t>(t)];
+    s->vc[static_cast<std::size_t>(t)].join(s->vc[0], s->vc_width);
+    advance(*s, t);
   }
-  ++main_vc.c[0];
+  advance(*s, 0);
 }
 
 void race_join(int threads) {
@@ -159,9 +167,8 @@ void race_join(int threads) {
   if (!s->cfg.race) return;
   // Every worker's last action happens-before everything after the join.
   for (int t = 1; t < threads && t < kMaxThreads; ++t) {
-    VectorClock& w = s->vc[static_cast<std::size_t>(t)];
-    ++w.c[static_cast<std::size_t>(t)];
-    s->vc[0].join(w);
+    advance(*s, t);
+    s->vc[0].join(s->vc[static_cast<std::size_t>(t)], s->vc_width);
   }
 }
 
@@ -170,18 +177,17 @@ void race_lock_acquired(int tid, const void* lock) {
   if (s == nullptr || !s->cfg.race || !s->in_parallel) return;
   auto it = s->locks.find(lock);
   if (it != s->locks.end()) {
-    s->vc[static_cast<std::size_t>(tid)].join(it->second);
+    s->vc[static_cast<std::size_t>(tid)].join(it->second, s->vc_width);
   }
 }
 
 void race_lock_released(int tid, const void* lock) {
   State* s = state();
   if (s == nullptr || !s->cfg.race || !s->in_parallel) return;
-  VectorClock& my = s->vc[static_cast<std::size_t>(tid)];
   // Join rather than assign: a lock acquired before the checker was watching
   // could otherwise lose a prior holder's edges and fabricate a race.
-  s->locks[lock].join(my);
-  ++my.c[static_cast<std::size_t>(tid)];
+  s->locks[lock].join(s->vc[static_cast<std::size_t>(tid)], s->vc_width);
+  advance(*s, tid);
 }
 
 void race_barrier_arrive(int tid, const void* barrier) {
@@ -189,9 +195,8 @@ void race_barrier_arrive(int tid, const void* barrier) {
   if (s == nullptr || !s->cfg.race || !s->in_parallel) return;
   BarrierState& b = s->barriers[barrier];
   const std::uint32_t phase = b.arrivals[static_cast<std::size_t>(tid)]++;
-  VectorClock& my = s->vc[static_cast<std::size_t>(tid)];
-  b.gather[phase & 1].join(my);
-  ++my.c[static_cast<std::size_t>(tid)];
+  b.gather[phase & 1].join(s->vc[static_cast<std::size_t>(tid)], s->vc_width);
+  advance(*s, tid);
 }
 
 void race_barrier_depart(int tid, const void* barrier) {
@@ -200,7 +205,8 @@ void race_barrier_depart(int tid, const void* barrier) {
   BarrierState& b = s->barriers[barrier];
   const std::uint32_t arrivals = b.arrivals[static_cast<std::size_t>(tid)];
   if (arrivals == 0) return;  // arrived before the checker was installed
-  s->vc[static_cast<std::size_t>(tid)].join(b.gather[(arrivals - 1) & 1]);
+  s->vc[static_cast<std::size_t>(tid)].join(b.gather[(arrivals - 1) & 1],
+                                           s->vc_width);
 }
 
 }  // namespace tmx::check::detail

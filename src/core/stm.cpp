@@ -41,6 +41,21 @@ std::uint64_t byte_mask(unsigned off, unsigned n) {
   return ((std::uint64_t{1} << (n * 8)) - 1) << (off * 8);
 }
 
+// The one pair of data-word accessors every STM load and store of
+// application memory goes through. Under --engine threads a speculative
+// load can meet another transaction's write-back (or write-through store)
+// to the same word; the read set's version check, not the load, is what
+// makes that safe, and a relaxed atomic access keeps the overlap defined.
+// On x86 both are the plain movs they replace.
+std::uint64_t load_data(std::uintptr_t word) {
+  return std::atomic_ref<std::uint64_t>(*reinterpret_cast<std::uint64_t*>(word))
+      .load(std::memory_order_relaxed);
+}
+void store_data(std::uintptr_t word, std::uint64_t v) {
+  std::atomic_ref<std::uint64_t>(*reinterpret_cast<std::uint64_t*>(word))
+      .store(v, std::memory_order_relaxed);
+}
+
 // --- Write-set lookup accelerators ---
 // Up to this many entries a reverse linear scan beats any index; the
 // studied synthetic workloads rarely exceed it, so the hash index only
@@ -91,8 +106,10 @@ OrtTable::OrtTable(std::size_t count) {
   }
   base_ = reinterpret_cast<void*>(aligned);
   length_ = size;
+  // Fresh anonymous pages read as zero, which is every VLock unlocked at
+  // version 0: writing that value again would only fault in 8 MiB of pages
+  // per Stm that a run mostly never touches.
   locks_ = static_cast<VLock*>(base_);
-  std::uninitialized_value_construct_n(locks_, count);
 }
 
 OrtTable::~OrtTable() {
@@ -262,15 +279,14 @@ std::uint64_t Tx::load_word(const void* addr) {
   sim::yield();
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
-  std::uint64_t v = l->v.load(std::memory_order_acquire);
+  std::uint64_t v = l->v().load(std::memory_order_acquire);
   for (;;) {
     if (is_locked(v)) {
       if (owner_of(v) != this) conflict(AbortCause::kReadLocked, addr);
       // Read-own-write. Write-through already updated memory; write-back
       // composes the buffered bytes over the current memory word.
       sim::probe(addr, 8, false);
-      std::uint64_t mem =
-          *static_cast<const volatile std::uint64_t*>(addr);
+      std::uint64_t mem = load_data(reinterpret_cast<std::uintptr_t>(addr));
       if (stm_->cfg_.design != StmDesign::kWriteThroughEtl) {
         if (WriteEntry* e =
                 find_write(reinterpret_cast<std::uintptr_t>(addr))) {
@@ -282,8 +298,8 @@ std::uint64_t Tx::load_word(const void* addr) {
     const std::uint64_t ver = version_of(v);
     sim::probe(addr, 8, false);
     const std::uint64_t val =
-        *static_cast<const volatile std::uint64_t*>(addr);
-    const std::uint64_t v2 = l->v.load(std::memory_order_acquire);
+        load_data(reinterpret_cast<std::uintptr_t>(addr));
+    const std::uint64_t v2 = l->v().load(std::memory_order_acquire);
     if (v2 != v) {  // concurrent commit touched this stripe; re-inspect
       v = v2;
       continue;
@@ -291,7 +307,7 @@ std::uint64_t Tx::load_word(const void* addr) {
     if (ver > end_ts_) {
       // The stripe is newer than our snapshot: try to extend it.
       if (!extend()) conflict(AbortCause::kValidation);
-      v = l->v.load(std::memory_order_acquire);
+      v = l->v().load(std::memory_order_acquire);
       continue;
     }
     read_set_.push_back(ReadEntry{l, ver});
@@ -328,7 +344,7 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
     // TL2: buffer the store; locks are taken at commit.
     VLock* l0 = stm_->lock_for(addr);
     sim::probe(l0, 8, false);
-    const std::uint64_t v = l0->v.load(std::memory_order_acquire);
+    const std::uint64_t v = l0->v().load(std::memory_order_acquire);
     if (is_locked(v) && owner_of(v) != this) {
       conflict(AbortCause::kWriteLocked, addr);  // another commit in flight
     }
@@ -348,17 +364,17 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
   const bool write_back = stm_->cfg_.design == StmDesign::kWriteBackEtl;
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, true);
-  std::uint64_t v = l->v.load(std::memory_order_acquire);
+  std::uint64_t v = l->v().load(std::memory_order_acquire);
   // Write-through applies the store to memory at encounter time; the
   // write set doubles as a first-touch undo log of whole words.
   auto apply_through = [&](std::uintptr_t word) {
-    auto* wp = reinterpret_cast<std::uint64_t*>(word);
     if (find_write(word) == nullptr) {
-      push_write(WriteEntry{word, /*old value*/ *wp, ~std::uint64_t{0}, l,
-                            /*prev=*/0, /*acquired=*/false});
+      push_write(WriteEntry{word, /*old value*/ load_data(word),
+                            ~std::uint64_t{0}, l, /*prev=*/0,
+                            /*acquired=*/false});
     }
-    sim::probe(wp, 8, true);
-    *wp = (*wp & ~mask) | (value & mask);
+    sim::probe(reinterpret_cast<const void*>(word), 8, true);
+    store_data(word, (load_data(word) & ~mask) | (value & mask));
   };
   for (;;) {
     if (is_locked(v)) {
@@ -379,13 +395,13 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
     }
     if (version_of(v) > end_ts_) {
       if (!extend()) conflict(AbortCause::kValidation);
-      v = l->v.load(std::memory_order_acquire);
+      v = l->v().load(std::memory_order_acquire);
       continue;
     }
     // Encounter-time locking: acquire now.
     sim::tick(sim::Cost::kAtomicRmw);
-    if (!l->v.compare_exchange_strong(v, make_locked(this),
-                                      std::memory_order_acq_rel)) {
+    if (!l->v().compare_exchange_strong(v, make_locked(this),
+                                        std::memory_order_acq_rel)) {
       continue;  // v reloaded by the failed CAS
     }
     TMX_OBS_EVENT(obs::EventKind::kStripeAcquire,
@@ -393,11 +409,11 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
                   stm_->ort_index(addr));
     const auto word = reinterpret_cast<std::uintptr_t>(addr);
     if (!write_back) {
-      auto* wp = reinterpret_cast<std::uint64_t*>(word);
-      push_write(WriteEntry{word, /*old value*/ *wp, ~std::uint64_t{0}, l,
-                            /*prev=*/v, /*acquired=*/true});
-      sim::probe(wp, 8, true);
-      *wp = (*wp & ~mask) | (value & mask);
+      push_write(WriteEntry{word, /*old value*/ load_data(word),
+                            ~std::uint64_t{0}, l, /*prev=*/v,
+                            /*acquired=*/true});
+      sim::probe(reinterpret_cast<const void*>(word), 8, true);
+      store_data(word, (load_data(word) & ~mask) | (value & mask));
       return;
     }
     push_write(WriteEntry{word, value, mask, l, /*prev=*/v,
@@ -408,7 +424,7 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
 
 bool Tx::validate() {
   for (const ReadEntry& r : read_set_) {
-    const std::uint64_t v = r.lock->v.load(std::memory_order_acquire);
+    const std::uint64_t v = r.lock->v().load(std::memory_order_acquire);
     if (is_locked(v)) {
       if (owner_of(v) != this) return false;
       // We own it; the version we read must still be the pre-lock version.
@@ -450,7 +466,7 @@ void Tx::commit() {
       // Acquire every written stripe now (TL2). A failure aborts; rollback
       // releases whatever was acquired.
       for (WriteEntry& e : write_set_) {
-        std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+        std::uint64_t v = e.lock->v().load(std::memory_order_acquire);
         if (is_locked(v)) {
           if (owner_of(v) == this) continue;  // duplicate stripe
           conflict(AbortCause::kWriteLocked,
@@ -460,8 +476,8 @@ void Tx::commit() {
           conflict(AbortCause::kValidation);
         }
         sim::tick(sim::Cost::kAtomicRmw);
-        if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
-                                               std::memory_order_acq_rel)) {
+        if (!e.lock->v().compare_exchange_strong(
+                v, make_locked(this), std::memory_order_acq_rel)) {
           conflict(AbortCause::kWriteLocked,
                    reinterpret_cast<const void*>(e.addr));
         }
@@ -493,7 +509,7 @@ void Tx::commit() {
         }
       }
       cw.push_back(check::CommittedWrite{
-          e.addr, bm, *reinterpret_cast<const std::uint64_t*>(e.addr)});
+          e.addr, bm, load_data(e.addr)});
     }
     check::on_tx_commit(tid_, cw.data(), cw.size(), tx_allocs_.data(),
                         tx_allocs_.size(), tx_frees_.data(), tx_frees_.size(),
@@ -502,7 +518,7 @@ void Tx::commit() {
   for (const WriteEntry& e : write_set_) {
     if (e.acquired) {
       sim::probe(e.lock, 8, true);
-      e.lock->v.store(make_version(ts), std::memory_order_release);
+      e.lock->v().store(make_version(ts), std::memory_order_release);
       TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                     stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
@@ -512,12 +528,11 @@ void Tx::commit() {
 
 void Tx::write_back() {
   for (const WriteEntry& e : write_set_) {
-    auto* word = reinterpret_cast<std::uint64_t*>(e.addr);
-    sim::probe(word, 8, true);
+    sim::probe(reinterpret_cast<const void*>(e.addr), 8, true);
     if (e.mask == ~std::uint64_t{0}) {
-      *word = e.value;
+      store_data(e.addr, e.value);
     } else {
-      *word = (*word & ~e.mask) | (e.value & e.mask);
+      store_data(e.addr, (load_data(e.addr) & ~e.mask) | (e.value & e.mask));
     }
   }
 }
@@ -557,7 +572,7 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
   // (readers are shut out while the locks are held).
   if (stm_->cfg_.design == StmDesign::kWriteThroughEtl) {
     for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
-      *reinterpret_cast<std::uint64_t*>(it->addr) = it->value;
+      store_data(it->addr, it->value);
     }
   }
   ++stats_.aborts;
@@ -585,7 +600,7 @@ void Tx::finish_abort([[maybe_unused]] std::uint8_t traced_cause,
   // Release encounter-time locks, restoring the pre-acquisition versions.
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     if (it->acquired) {
-      it->lock->v.store(it->prev, std::memory_order_release);
+      it->lock->v().store(it->prev, std::memory_order_release);
       TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                     stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
     }
@@ -722,11 +737,11 @@ std::uint64_t Tx::load_word_hw(const void* addr) {
   sim::yield();
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
-  const std::uint64_t v = l->v.load(std::memory_order_acquire);
+  const std::uint64_t v = l->v().load(std::memory_order_acquire);
   if (is_locked(v)) hw_abort(HwAbortCause::kConflict);  // sw tx owns it
   sim::probe(addr, 8, false);
-  std::uint64_t mem = *static_cast<const volatile std::uint64_t*>(addr);
-  const std::uint64_t v2 = l->v.load(std::memory_order_acquire);
+  std::uint64_t mem = load_data(reinterpret_cast<std::uintptr_t>(addr));
+  const std::uint64_t v2 = l->v().load(std::memory_order_acquire);
   if (v2 != v || version_of(v) > end_ts_) {
     hw_abort(HwAbortCause::kConflict);  // line changed under the snapshot
   }
@@ -751,7 +766,7 @@ void Tx::store_word_hw(void* addr, std::uint64_t value, std::uint64_t mask) {
   sim::yield();
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
-  const std::uint64_t v = l->v.load(std::memory_order_acquire);
+  const std::uint64_t v = l->v().load(std::memory_order_acquire);
   if (is_locked(v) || version_of(v) > end_ts_) {
     hw_abort(HwAbortCause::kConflict);
   }
@@ -778,15 +793,15 @@ void Tx::commit_hw() {
   if (!write_set_.empty()) {
     bool all_acquired = true;
     for (WriteEntry& e : write_set_) {
-      std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+      std::uint64_t v = e.lock->v().load(std::memory_order_acquire);
       if (is_locked(v) && owner_of(v) == this) continue;  // duplicate stripe
       if (is_locked(v) || version_of(v) > end_ts_) {
         all_acquired = false;
         break;
       }
       sim::tick(sim::Cost::kAtomicRmw);
-      if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
-                                             std::memory_order_acq_rel)) {
+      if (!e.lock->v().compare_exchange_strong(v, make_locked(this),
+                                               std::memory_order_acq_rel)) {
         all_acquired = false;
         break;
       }
@@ -803,7 +818,7 @@ void Tx::commit_hw() {
     write_back();
     for (const WriteEntry& e : write_set_) {
       if (e.acquired) {
-        e.lock->v.store(make_version(ts), std::memory_order_release);
+        e.lock->v().store(make_version(ts), std::memory_order_release);
         TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                       stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
       }

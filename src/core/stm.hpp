@@ -23,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -192,9 +193,19 @@ void publish_metrics(const TxStats& stats, obs::MetricsRegistry& reg,
 namespace detail {
 
 struct VLock {
-  // Unlocked: (version << 1). Locked: (Tx* | 1).
-  std::atomic<std::uint64_t> v{0};
+  // Unlocked: (version << 1). Locked: (Tx* | 1). A plain word that is only
+  // ever accessed atomically, through v(): the type stays trivial, so an
+  // ORT's fresh anonymous pages — all zero, i.e. every stripe unlocked at
+  // version 0 — are usable without a constructor pass over them.
+  std::uint64_t word;
+
+  std::atomic_ref<std::uint64_t> v() {
+    return std::atomic_ref<std::uint64_t>(word);
+  }
 };
+static_assert(std::is_trivial_v<VLock>);
+static_assert(alignof(VLock) >=
+              std::atomic_ref<std::uint64_t>::required_alignment);
 
 // ORT lock-word storage, mapped directly from the OS rather than the host
 // heap. Lock words are probed through the cache model on every barrier, so
@@ -208,7 +219,7 @@ struct VLock {
 class OrtTable {
  public:
   OrtTable() = default;
-  explicit OrtTable(std::size_t count);  // count VLocks, value-initialized
+  explicit OrtTable(std::size_t count);  // count VLocks, all unlocked at 0
   ~OrtTable();
   OrtTable(OrtTable&& o) noexcept
       : locks_(o.locks_), base_(o.base_), length_(o.length_) {

@@ -25,8 +25,10 @@ CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
   l2_sets_ = static_cast<unsigned>(geo.l2_size / (geo.line_size * geo.l2_ways));
   TMX_ASSERT(l1_sets_ > 0 && l2_sets_ > 0);
   TMX_ASSERT(is_pow2(l1_sets_));
-  // L2 sets need not be a power of two (6MB/24-way gives 4096, which is);
-  // we index with modulo to stay general.
+  line_shift_ = static_cast<std::uint8_t>(log2_floor(geo.line_size));
+  // L2 sets need not be a power of two (6MB/24-way gives 4096, which is):
+  // other counts index with modulo to stay general.
+  l2_pow2_ = is_pow2(l2_sets_);
   const std::size_t l1_lines =
       static_cast<std::size_t>(geo.cores) * l1_sets_ * geo.l1_ways;
   // One private L2 bank per node; the single-node machine is the paper's
@@ -133,7 +135,7 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
   } else {
     ++st.l1_misses;
     // Consult this node's L2 bank (the shared L2 of the flat machine).
-    const std::size_t set2 = (line_addr / geo_.line_size) % l2_sets_;
+    const std::size_t set2 = l2_set_of(line_addr);
     const std::size_t base2 =
         (static_cast<std::size_t>(node) * l2_sets_ + set2) * geo_.l2_ways;
     const int w2 = find_way(&l2_tags_[base2], geo_.l2_ways, line_addr);

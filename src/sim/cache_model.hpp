@@ -120,11 +120,16 @@ class CacheModel {
     return (static_cast<std::size_t>(core) * l1_sets_ + set) * geo_.l1_ways;
   }
   unsigned node_of(unsigned core) const {
+    if (geo_.nodes == 1) return 0;
     const unsigned n = core / cores_per_node_;
     return n < geo_.nodes ? n : geo_.nodes - 1;
   }
   std::size_t l1_set_of(std::uintptr_t line_addr) const {
-    return (line_addr / geo_.line_size) & (l1_sets_ - 1);
+    return (line_addr >> line_shift_) & (l1_sets_ - 1);
+  }
+  std::size_t l2_set_of(std::uintptr_t line_addr) const {
+    const std::uintptr_t line = line_addr >> line_shift_;
+    return l2_pow2_ ? line & (l2_sets_ - 1) : line % l2_sets_;
   }
   // Way holding `line_addr` within the set starting at `tags`, or -1.
   static int find_way(const std::uintptr_t* tags, unsigned ways,
@@ -177,6 +182,11 @@ class CacheModel {
   unsigned l1_sets_;
   unsigned l2_sets_;
   unsigned cores_per_node_ = 1;
+  // Packed into the padding after cores_per_node_, so sizeof(CacheModel)
+  // and with it a run's host heap history are unchanged: cache-model-on
+  // results still depend on host placement (ROADMAP item 1).
+  std::uint8_t line_shift_;  // log2(line_size)
+  bool l2_pow2_;             // l2_sets_ is a power of two: index with a mask
   // Structure-of-arrays line storage, indexed [core][set][way] (L1) and
   // [set][way] (L2): the tags of one set are contiguous, so an associative
   // search touches one or two host cache lines instead of striding over

@@ -9,10 +9,16 @@
 // hooks off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "alloc/allocator.hpp"
 #include "alloc/instrument.hpp"
@@ -25,6 +31,7 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "stamp/app.hpp"
+#include "util/rng.hpp"
 
 namespace tmx::check {
 namespace {
@@ -403,6 +410,444 @@ TEST_F(CheckFixture, MetricsPublishFindingCounters) {
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("check.double_frees"), std::string::npos);
   EXPECT_NE(json.find("check.races"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Vector-clock width across regions
+// ---------------------------------------------------------------------------
+
+// Joins cover only the clock components of threads seen so far. An 8-thread
+// region followed by a 4-thread region must keep the edges of threads 4..7:
+// the join after the wide region orders every worker's write before the
+// narrow region's reads, so no race may be reported.
+TEST_F(CheckFixture, NarrowRegionAfterWideRegionKeepsEdges) {
+  install(CheckConfig{});
+  std::uint64_t words[8] = {};
+  sim::run_parallel(sim_config(8), [&](int tid) {
+    sim::tick(10 * static_cast<std::uint64_t>(tid + 1));
+    TMX_NAKED_ACCESS(&words[tid], sizeof(words[tid]), /*is_write=*/true);
+    words[tid] = static_cast<std::uint64_t>(tid + 1);
+  });
+  sim::run_parallel(sim_config(4), [&](int tid) {
+    sim::tick(10 * static_cast<std::uint64_t>(tid + 1));
+    for (std::uint64_t& w : words) {
+      TMX_NAKED_ACCESS(&w, sizeof(w), /*is_write=*/false);
+      EXPECT_NE(w, 0u);
+    }
+  });
+  EXPECT_EQ(count(ReportKind::kRace), 0u);
+  EXPECT_EQ(hard_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the checker against an ordered-map reference
+// ---------------------------------------------------------------------------
+
+// The race prong and the tombstone lookups written the straightforward way:
+// one std::map entry and one record vector per word ever touched, tombstones
+// probed with upper_bound, full-width vector clocks. Fed the same hook
+// stream as the checker, it must produce the same counts and the same
+// report list, in the same order.
+class MapChecker {
+ public:
+  void fork(int threads) {
+    in_parallel_ = true;
+    for (int t = 1; t < threads; ++t) {
+      join_into(vc_[t], vc_[0]);
+      ++vc_[t][t];
+    }
+    ++vc_[0][0];
+  }
+  void join(int threads) {
+    in_parallel_ = false;
+    for (int t = 1; t < threads; ++t) {
+      ++vc_[t][t];
+      join_into(vc_[0], vc_[t]);
+    }
+  }
+  void lock_acquired(int tid, const void* l) {
+    if (!in_parallel_) return;
+    auto it = locks_.find(l);
+    if (it != locks_.end()) join_into(vc_[tid], it->second);
+  }
+  void lock_released(int tid, const void* l) {
+    if (!in_parallel_) return;
+    join_into(locks_[l], vc_[tid]);
+    ++vc_[tid][tid];
+  }
+  void tx_begin(int tid) {
+    if (in_parallel_) join_into(vc_[tid], global_);
+  }
+  void tx_commit(int tid, const std::vector<std::uintptr_t>& words) {
+    for (std::uintptr_t w : words) race(tid, w, 8, true, true, nullptr);
+    if (!words.empty() && in_parallel_) {
+      join_into(global_, vc_[tid]);
+      ++vc_[tid][tid];
+    }
+  }
+  void naked(int tid, std::uintptr_t a, std::size_t n, bool write,
+             const char* site) {
+    if (tracking_ && touches_tomb(a, n)) {
+      freed_touch(ReportKind::kUseAfterFree, tid, a, write, site);
+    }
+    race(tid, a, n, write, false, site);
+  }
+  bool tx_access(int tid, std::uintptr_t a, std::size_t n, bool write,
+                 bool in_place) {
+    if (!write || in_place) race(tid, a, n, write, true, nullptr);
+    return tracking_ && touches_tomb(a, n);
+  }
+  void tx_freed(int tid, std::uintptr_t a, bool write, bool doomed) {
+    freed_touch(doomed ? ReportKind::kZombieRead : ReportKind::kUseAfterFree,
+                tid, a, write, nullptr);
+  }
+  void alloc(std::uintptr_t a, std::size_t size) {
+    tracking_ = true;
+    const std::uintptr_t end = a + size;
+    auto t = tombs_.upper_bound(a);
+    if (t != tombs_.begin() &&
+        std::prev(t)->first + std::prev(t)->second.size > a) {
+      --t;
+    }
+    while (t != tombs_.end() && t->first < end) t = tombs_.erase(t);
+    auto w = shadow_.lower_bound(a & ~std::uintptr_t{7});
+    while (w != shadow_.end() && w->first < end) w = shadow_.erase(w);
+    live_[a] = size;
+  }
+  void free(int tid, std::uintptr_t a) {
+    tombs_[a] = Tomb{live_.at(a), tid, sim::now_cycles()};
+    live_.erase(a);
+  }
+
+  std::vector<Report> reports;
+  std::uint64_t counts[kNumReportKinds] = {};
+
+ private:
+  using Clock = std::array<std::uint64_t, kMaxThreads>;
+  struct Rec {
+    std::uint64_t clk;
+    std::uint64_t cycle;
+    const char* site;
+    int tid;
+    std::uint8_t mask;
+    bool is_write;
+    bool is_tx;
+  };
+  struct Tomb {
+    std::size_t size;
+    int free_tid;
+    std::uint64_t free_cycle;
+  };
+
+  static void join_into(Clock& into, const Clock& from) {
+    for (int i = 0; i < kMaxThreads; ++i) into[i] = std::max(into[i], from[i]);
+  }
+  static const char* label(const char* site) { return site ? site : "?"; }
+
+  Report base(ReportKind kind, int tid, std::uintptr_t addr,
+              const char* site) const {
+    Report r;
+    r.kind = kind;
+    r.tid = tid;
+    r.cycle = sim::now_cycles();
+    r.addr = addr;
+    r.stripe = (addr >> 5) & ((std::size_t{1} << 20) - 1);
+    r.site = label(site);
+    return r;
+  }
+  void emit(Report r) {
+    ++counts[static_cast<int>(r.kind)];
+    for (const Report& prev : reports) {
+      if (prev.kind == r.kind && prev.site == r.site &&
+          prev.other_site == r.other_site) {
+        return;
+      }
+    }
+    if (reports.size() < CheckConfig{}.max_reports) reports.push_back(r);
+  }
+  const std::pair<const std::uintptr_t, Tomb>* find_tomb(
+      std::uintptr_t a) const {
+    auto it = tombs_.upper_bound(a);
+    if (it == tombs_.begin()) return nullptr;
+    --it;
+    return a < it->first + it->second.size ? &*it : nullptr;
+  }
+  bool touches_tomb(std::uintptr_t a, std::size_t n) const {
+    return find_tomb(a) != nullptr ||
+           (n > 1 && find_tomb(a + n - 1) != nullptr);
+  }
+  void freed_touch(ReportKind kind, int tid, std::uintptr_t a, bool write,
+                   const char* site) {
+    Report r = base(kind, tid, a, site);
+    if (const auto* t = find_tomb(a)) {
+      r.other_tid = t->second.free_tid;
+      r.other_cycle = t->second.free_cycle;
+      r.other_site = "?";
+      r.detail = std::string(write ? "write to" : "read of") +
+                 " freed block (allocated at ?)";
+    } else {
+      r.detail = write ? "write to freed memory" : "read of freed memory";
+    }
+    emit(std::move(r));
+  }
+  void race(int tid, std::uintptr_t a, std::size_t n, bool write, bool is_tx,
+            const char* site) {
+    if (!in_parallel_) return;
+    while (n > 0) {
+      const std::uintptr_t word = a & ~std::uintptr_t{7};
+      const unsigned off = static_cast<unsigned>(a - word);
+      const unsigned take =
+          static_cast<unsigned>(std::min<std::size_t>(n, 8 - off));
+      word_access(tid, word,
+                  static_cast<std::uint8_t>(((1u << take) - 1u) << off),
+                  write, is_tx, site);
+      a += take;
+      n -= take;
+    }
+  }
+  void word_access(int tid, std::uintptr_t word, std::uint8_t mask,
+                   bool write, bool is_tx, const char* site) {
+    const Clock& my = vc_[tid];
+    std::vector<Rec>& recs = shadow_[word];
+    for (const Rec& rec : recs) {
+      if ((rec.mask & mask) == 0 || (!write && !rec.is_write) ||
+          rec.tid == tid || (is_tx && rec.is_tx) ||
+          rec.clk <= my[rec.tid]) {
+        continue;
+      }
+      Report r = base(ReportKind::kRace, tid, word, site);
+      r.other_tid = rec.tid;
+      r.other_cycle = rec.cycle;
+      r.other_site = rec.site;
+      r.detail = std::string(is_tx ? "tx " : "naked ") +
+                 (write ? "write" : "read") + " races with " +
+                 (rec.is_tx ? "tx " : "naked ") +
+                 (rec.is_write ? "write" : "read");
+      emit(std::move(r));
+    }
+    for (Rec& rec : recs) {
+      if ((rec.mask & mask) != 0 &&
+          (write || (rec.tid == tid && !rec.is_write))) {
+        rec.mask &= static_cast<std::uint8_t>(~mask);
+      }
+    }
+    std::erase_if(recs, [](const Rec& r) { return r.mask == 0; });
+    recs.push_back(Rec{my[tid], sim::now_cycles(), label(site), tid, mask,
+                       write, is_tx});
+  }
+
+  bool in_parallel_ = false;
+  bool tracking_ = false;
+  std::array<Clock, kMaxThreads> vc_{};
+  Clock global_{};
+  std::map<const void*, Clock> locks_;
+  std::map<std::uintptr_t, std::vector<Rec>> shadow_;
+  std::map<std::uintptr_t, Tomb> tombs_;
+  std::map<std::uintptr_t, std::size_t> live_;
+};
+
+// One step of the stream, run by thread `tid`.
+struct StreamOp {
+  enum Kind { kNaked, kTx, kLock, kAlloc, kFree } kind;
+  int tid;
+  std::uint64_t delay;
+  // kNaked: one access. kTx: a whole transaction (reads, buffered or
+  // write-through writes), committed. kAlloc/kFree: a block of the arena.
+  struct Access {
+    std::uintptr_t addr;
+    std::size_t bytes;
+    bool write;
+    bool in_place;
+    bool doomed;
+  };
+  std::vector<Access> accesses;
+  const char* site = nullptr;
+  int lock = 0;
+  std::uintptr_t block = 0;
+  std::size_t size = 0;
+};
+
+// A seeded stream over a small synthetic arena (never dereferenced) that
+// straddles a 4 KiB page and a 16 MiB region boundary. Blocks start on 4- or
+// 8-byte boundaries with sizes of 1..96 bytes, so recycling a range clears
+// partial words and overlaps older tombstones.
+std::vector<StreamOp> make_stream(std::uint64_t seed, int threads,
+                                  std::size_t n) {
+  static const char* const kSites[] = {"site:a", "site:b", "site:c",
+                                       "site:d", "site:e"};
+  constexpr std::uintptr_t kBase = (std::uintptr_t{3} << 24) - 3000;
+  constexpr std::size_t kArena = 6000;
+  Rng rng(seed);
+  std::map<std::uintptr_t, std::size_t> live;
+  const auto pick_range = [&](std::size_t max_bytes) {
+    const std::size_t bytes = rng.range(1, max_bytes);
+    return std::pair{kBase + rng.below(kArena - bytes), bytes};
+  };
+  std::vector<StreamOp> ops;
+  while (ops.size() < n) {
+    StreamOp op{};
+    op.tid = static_cast<int>(rng.below(static_cast<std::uint64_t>(threads)));
+    op.delay = rng.below(40);
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 30) {
+      op.kind = StreamOp::kNaked;
+      const auto [a, bytes] = pick_range(16);
+      op.accesses.push_back({a, bytes, rng.below(2) == 0, false, false});
+      op.site = kSites[rng.below(5)];
+    } else if (roll < 70) {
+      op.kind = StreamOp::kTx;
+      const std::uint64_t k = rng.range(1, 4);
+      const bool in_place = rng.below(4) == 0;
+      for (std::uint64_t i = 0; i < k; ++i) {
+        const auto [a, bytes] = pick_range(16);
+        op.accesses.push_back(
+            {a, bytes, rng.below(3) == 0, in_place, rng.below(2) == 0});
+      }
+    } else if (roll < 82) {
+      op.kind = StreamOp::kLock;
+      op.lock = static_cast<int>(rng.below(3));
+    } else if (roll < 93 || live.empty()) {
+      op.kind = StreamOp::kAlloc;
+      op.size = rng.range(1, 96);
+      op.block = kBase + 4 * rng.below((kArena - op.size) / 4);
+      auto next = live.lower_bound(op.block);
+      const bool clear_after =
+          next == live.end() || next->first >= op.block + op.size;
+      const bool clear_before =
+          next == live.begin() ||
+          std::prev(next)->first + std::prev(next)->second <= op.block;
+      if (!clear_after || !clear_before) continue;  // blocks never overlap
+      live[op.block] = op.size;
+    } else {
+      op.kind = StreamOp::kFree;
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.below(live.size())));
+      op.block = it->first;
+      live.erase(it);
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+// Runs `ops` in stream order, each by its own thread, through both the
+// checker's public hooks and the reference.
+void run_stream(const std::vector<StreamOp>& ops, int threads,
+                MapChecker& ref) {
+  sim::SpinLock locks[3];
+  std::size_t cursor = 0;
+  ref.fork(threads);
+  sim::run_parallel(sim_config(threads), [&](int tid) {
+    for (;;) {
+      while (cursor < ops.size() && ops[cursor].tid != tid) {
+        sim::tick(1);
+        sim::yield();
+      }
+      if (cursor == ops.size()) return;
+      const StreamOp& op = ops[cursor];
+      sim::tick(op.delay);
+      switch (op.kind) {
+        case StreamOp::kNaked: {
+          const StreamOp::Access& x = op.accesses[0];
+          naked_access(reinterpret_cast<const void*>(x.addr), x.bytes,
+                       x.write, op.site);
+          ref.naked(tid, x.addr, x.bytes, x.write, op.site);
+          break;
+        }
+        case StreamOp::kTx: {
+          on_tx_begin(tid);
+          ref.tx_begin(tid);
+          std::vector<CommittedWrite> cw;
+          std::vector<std::uintptr_t> words;
+          for (const StreamOp::Access& x : op.accesses) {
+            const void* p = reinterpret_cast<const void*>(x.addr);
+            const bool freed =
+                on_tx_access(tid, p, x.bytes, x.write, x.in_place);
+            EXPECT_EQ(freed,
+                      ref.tx_access(tid, x.addr, x.bytes, x.write, x.in_place));
+            if (freed) {
+              on_tx_freed_access(tid, p, x.write, x.doomed);
+              ref.tx_freed(tid, x.addr, x.write, x.doomed);
+            }
+            if (!x.write) continue;
+            for (std::uintptr_t w = x.addr & ~std::uintptr_t{7};
+                 w < x.addr + x.bytes; w += 8) {
+              if (std::find(words.begin(), words.end(), w) != words.end()) {
+                continue;
+              }
+              words.push_back(w);
+              cw.push_back(CommittedWrite{w, 0xff, 0});
+            }
+          }
+          on_tx_commit(tid, cw.data(), cw.size(), nullptr, 0, nullptr, 0,
+                       !cw.empty());
+          ref.tx_commit(tid, words);
+          break;
+        }
+        case StreamOp::kLock: {
+          sim::SpinLock& l = locks[op.lock];
+          l.lock();
+          ref.lock_acquired(tid, &l);
+          l.unlock();
+          ref.lock_released(tid, &l);
+          break;
+        }
+        case StreamOp::kAlloc:
+          on_block_alloc(reinterpret_cast<void*>(op.block), op.size);
+          ref.alloc(op.block, op.size);
+          break;
+        case StreamOp::kFree:
+          EXPECT_TRUE(on_block_free(reinterpret_cast<void*>(op.block)));
+          ref.free(tid, op.block);
+          break;
+      }
+      ++cursor;
+    }
+  });
+  ref.join(threads);
+}
+
+// The flat shadow, the freed-word filter and the bounded vector clocks
+// against the reference, over seeded streams of naked and transactional
+// accesses, lock and commit edges, and alloc/free/recycle, in regions of
+// 4-8 threads (a narrow region after a wide one included).
+TEST_F(CheckFixture, MatchesOrderedMapReferenceOnSeededStreams) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    install(CheckConfig{});
+    MapChecker ref;
+    Rng rng(seed * 7919);
+    for (int region = 0; region < 3; ++region) {
+      const int threads = static_cast<int>(rng.range(4, 8));
+      run_stream(make_stream(seed * 31 + region, threads, 1500), threads,
+                 ref);
+    }
+    for (int k = 0; k < kNumReportKinds; ++k) {
+      EXPECT_EQ(count(static_cast<ReportKind>(k)), ref.counts[k])
+          << report_kind_name(static_cast<ReportKind>(k));
+    }
+    EXPECT_GT(ref.counts[static_cast<int>(ReportKind::kRace)], 0u);
+    EXPECT_GT(ref.counts[static_cast<int>(ReportKind::kUseAfterFree)], 0u);
+    EXPECT_GT(ref.counts[static_cast<int>(ReportKind::kZombieRead)], 0u);
+    const std::vector<Report>& got = reports();
+    ASSERT_EQ(got.size(), ref.reports.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("report " + std::to_string(i));
+      const Report& a = got[i];
+      const Report& b = ref.reports[i];
+      EXPECT_EQ(a.kind, b.kind);
+      EXPECT_EQ(a.tid, b.tid);
+      EXPECT_EQ(a.cycle, b.cycle);
+      EXPECT_EQ(a.addr, b.addr);
+      EXPECT_EQ(a.stripe, b.stripe);
+      EXPECT_EQ(a.site, b.site);
+      EXPECT_EQ(a.other_tid, b.other_tid);
+      EXPECT_EQ(a.other_cycle, b.other_cycle);
+      EXPECT_EQ(a.other_site, b.other_site);
+      EXPECT_EQ(a.detail, b.detail);
+    }
+    clear();
+  }
 }
 
 // ---------------------------------------------------------------------------
